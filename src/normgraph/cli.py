@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import general, k46
+from .general import is_json_int
 from .graph import (
     ENUM_LIMIT,
     CENSUS_BUDGET,
@@ -228,6 +229,8 @@ def _planted_subsets(G: NormGraph, args) -> tuple[tuple[int, ...], ...]:
 
 
 def cmd_census(args) -> int:
+    if args.sample and args.trials < 1:
+        return _usage_error("--trials must be >= 1")
     try:
         G = make_graph(args.p, args.t)
     except ValueError as exc:
@@ -301,11 +304,11 @@ def _schema_check_graph_witness(data: dict) -> None:
         if key not in data:
             raise ValueError(f"witness JSON is missing {key!r}")
     p, t = data["p"], data["t"]
-    if not isinstance(p, int) or not isinstance(t, int) or p < 2 or t < 3:
+    if not is_json_int(p) or not is_json_int(t) or p < 2 or t < 3:
         raise ValueError("p and t must be integers with p >= 2, t >= 3")
     mod = data["modulus"]
     if not isinstance(mod, list) or len(mod) != t or not all(
-        isinstance(c, int) for c in mod
+        is_json_int(c) for c in mod
     ):
         raise ValueError(f"modulus must list {t} integer coefficients")
     for part in ("L", "R"):
@@ -314,10 +317,10 @@ def _schema_check_graph_witness(data: dict) -> None:
         for v in data[part]:
             if (
                 not isinstance(v, dict)
-                or not isinstance(v.get("a"), int)
+                or not is_json_int(v.get("a"))
                 or not isinstance(v.get("alpha"), list)
                 or len(v["alpha"]) != t - 1
-                or not all(isinstance(c, int) and 0 <= c < p for c in v["alpha"])
+                or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
                 or not 1 <= v["a"] < p
             ):
                 raise ValueError(f"malformed vertex in {part}")
@@ -570,6 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     return args.fn(args)
 
 

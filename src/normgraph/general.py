@@ -234,18 +234,27 @@ def general_witness_to_json(w: GeneralWitness, verified: bool) -> dict:
     }
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer.  bool subclasses int, so isinstance(x, int)
+    would also accept JSON true and false."""
+    return type(x) is int
+
+
 def general_schema_check(data: dict) -> None:
     """Shape-only validation; raises ValueError on malformed input."""
     for key in ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified"):
         if key not in data:
             raise ValueError(f"general witness JSON is missing {key!r}")
     for key in ("t", "m", "p", "r", "zeta"):
-        if not isinstance(data[key], int):
+        if not is_json_int(data[key]):
             raise ValueError(f"{key!r} must be an integer")
     t, m, p = data["t"], data["m"], data["p"]
     if t < 4 or m < 1 or p < 2:
         raise ValueError("t, m, p out of range")
-    if not isinstance(data["thetas"], list) or len(data["thetas"]) != m:
+    thetas = data["thetas"]
+    if not isinstance(thetas, list) or len(thetas) != m or not all(
+        is_json_int(th) for th in thetas
+    ):
         raise ValueError("thetas must list m integers")
     for part, want in (("A", t - 1), ("B", m)):
         if not isinstance(data[part], list) or len(data[part]) != want:
@@ -253,10 +262,10 @@ def general_schema_check(data: dict) -> None:
         for v in data[part]:
             if (
                 not isinstance(v, dict)
-                or not isinstance(v.get("a"), int)
+                or not is_json_int(v.get("a"))
                 or not isinstance(v.get("alpha"), list)
                 or len(v["alpha"]) != t - 1
-                or not all(isinstance(c, int) and 0 <= c < p for c in v["alpha"])
+                or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
                 or not 1 <= v["a"] < p
             ):
                 raise ValueError(f"malformed vertex in {part}")

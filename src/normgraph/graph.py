@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .ff import ExtElement, ExtField, fp_inv
 from .parallel import chunk_list, chunk_ranges, run_tasks
 from .polys import is_irreducible
+from .primes import is_prime
 
 # bitset-indexed neighborhoods (and edge export) refuse graphs above this
 ENUM_LIMIT = 2**22
@@ -73,6 +74,9 @@ def _smallest_irreducible(p: int, k: int) -> list[int]:
 def make_graph(p: int, t: int, modulus=None) -> "NormGraph":
     """P(p,t) over GF(p^(t-1)); the modulus defaults to the smallest
     irreducible of degree t-1 under the integer coefficient encoding."""
+    # primality first: the modulus search below assumes a prime field
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if t < 3:
         raise ValueError(f"t must be >= 3, got {t}")
     k = t - 1

@@ -121,10 +121,50 @@ def poly_deriv(h, p: int) -> list[int]:
     return poly_trim([c * i % p for i, c in enumerate(h)][1:])
 
 
+def _cubic_pow_mod(base, e: int, h: list[int], p: int) -> list[int]:
+    # h is canonical of degree 3.  With m = h / lc(h) monic,
+    # x^3 == r0 + r1*x + r2*x^2 where r_i = -m_i.  A product's x^4 term is
+    # folded into x^3 (x^4 == r0*x + r1*x^2 + r2*x^3) and x^3 into the three
+    # low terms, so the power stays on three coefficients: nothing is
+    # trimmed, normalised or long-divided inside the loop.  The products
+    # are written out in place because a call per product costs more than
+    # the arithmetic.
+    inv_lead = fp_inv(h[3], p)
+    r0, r1, r2 = (-c * inv_lead % p for c in h[:3])
+    b0, b1, b2 = (poly_divmod(base, h, p)[1] + [0, 0, 0])[:3]
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(e)[2:]:  # left to right, so every multiply is by b
+        d4 = c2 * c2 % p
+        d3 = (2 * c1 * c2 + d4 * r2) % p
+        d2 = 2 * c0 * c2 + c1 * c1 + d4 * r1
+        d1 = 2 * c0 * c1 + d4 * r0
+        c0 = (c0 * c0 + d3 * r0) % p
+        c1 = (d1 + d3 * r1) % p
+        c2 = (d2 + d3 * r2) % p
+        if bit == "1":
+            d4 = c2 * b2 % p
+            d3 = (c1 * b2 + c2 * b1 + d4 * r2) % p
+            d2 = c0 * b2 + c1 * b1 + c2 * b0 + d4 * r1
+            d1 = c0 * b1 + c1 * b0 + d4 * r0
+            c0 = (c0 * b0 + d3 * r0) % p
+            c1 = (d1 + d3 * r1) % p
+            c2 = (d2 + d3 * r2) % p
+    return poly_trim([c0, c1, c2])
+
+
 def poly_pow_mod(base, e: int, h, p: int) -> list[int]:
-    """base^e mod h over F_p."""
+    """base^e mod h over F_p, by square-and-multiply.
+
+    When h reduced mod p has degree 3, the powers are kept as three fixed
+    coefficients in F_p[x]/(h) and reduced through h's low coefficients;
+    every other degree multiplies whole lists and reduces each product with
+    poly_divmod.  Both give the canonical remainder.
+    """
     if e < 0:
         raise ValueError("negative exponent")
+    h = _norm(h, p)
+    if len(h) == 4:
+        return _cubic_pow_mod(base, e, h, p)
     result = [1]
     base = poly_divmod(base, h, p)[1]
     while e:
@@ -146,12 +186,14 @@ def poly_compose_mod(f, g, h, p: int) -> list[int]:
 
 
 def is_irreducible(h, p: int) -> bool:
-    """Distinct-degree irreducibility test over F_p.
+    """Irreducibility test over F_p.
 
-    h of degree d is irreducible iff x^(p^d) == x mod h and, for every
-    prime l dividing d, x^(p^(d/l)) - x is coprime to h.  The iterated
-    Frobenius powers are built by modular composition with x^p, using
-    u(x)^p == u(x^p) mod (h, p).
+    A cubic is irreducible iff it has no root in F_p, iff it is coprime to
+    x^p - x (the product of all x - a over F_p): one poly_pow_mod and one
+    poly_gcd.  Every other degree d >= 2 takes the distinct-degree test:
+    h is irreducible iff x^(p^d) == x mod h and, for every prime l dividing
+    d, x^(p^(d/l)) - x is coprime to h.  The iterated Frobenius powers are
+    built by modular composition with x^p, using u(x)^p == u(x^p) mod (h, p).
     """
     h = poly_monic(h, p)
     d = len(h) - 1
@@ -161,6 +203,8 @@ def is_irreducible(h, p: int) -> bool:
         return True
     x = [0, 1]
     xp = poly_pow_mod(x, p, h, p)
+    if d == 3:
+        return poly_deg(poly_gcd(poly_sub(xp, x, p), h, p)) == 0
     powers = [x, xp]  # powers[i] = x^(p^i) mod h
     for _ in range(d - 1):
         powers.append(poly_compose_mod(powers[-1], xp, h, p))

@@ -32,6 +32,22 @@ class TestUsage:
     def test_missing_required_flag(self):
         assert run("sieve").returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sieve", "--limit", 150, "--no-cache"),
+            ("census", "--p", 3, "--t", 4, "--k", 4),
+            ("witness-general", "--t", 4, "--m", 2, "--limit", 20),
+        ],
+        ids=["sieve", "census", "witness-general"],
+    )
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, argv, jobs):
+        r = run(*argv, "--jobs", jobs, cache=tmp_path)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: --jobs must be >= 1, got {jobs}\n"
+
 
 class TestSieve:
     def test_text_150(self, tmp_path):
@@ -189,6 +205,22 @@ class TestCensus:
         assert "planted=witness-quadruple" in r.stdout
         assert "max common neighbors over 4-subsets: 6" in r.stdout
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sample_needs_a_trial(self, tmp_path, trials):
+        r = run(
+            "census", "--p", 3, "--t", 3, "--k", 3, "--sample",
+            "--trials", trials, cache=tmp_path,
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: --trials must be >= 1\n"
+
+    @pytest.mark.parametrize("p,t", [(4, 3), (4, 4), (9, 4), (4, 5)])
+    def test_composite_p_reported_as_such(self, tmp_path, p, t):
+        r = run("census", "--p", p, "--t", t, "--k", 3, cache=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr == f"error: p must be prime, got {p}\n"
+
     def test_k_not_t_skips_bound(self, tmp_path):
         r = run("census", "--p", 3, "--t", 4, "--k", 2, cache=tmp_path)
         assert r.returncode == 0
@@ -280,6 +312,33 @@ class TestVerify:
         out.write_text(json.dumps(data))
         assert run("verify", out, cache=tmp_path).returncode == 2
 
+    def test_boolean_for_integer_is_malformed(self, tmp_path):
+        # the p=7 witness has a = 1 on its first right vertex, and JSON true
+        # would pass for 1 if booleans counted as integers
+        out = tmp_path / "w.json"
+        run("witness46", "--output", out, cache=tmp_path)
+        data = json.loads(out.read_text())
+        assert data["R"][0]["a"] == 1
+        data["R"][0]["a"] = True
+        out.write_text(json.dumps(data))
+        r = run("verify", out, cache=tmp_path)
+        assert r.returncode == 2
+        assert "malformed vertex in R" in r.stderr
+
+    @pytest.mark.parametrize("field", ["vertex", "theta"])
+    def test_boolean_in_general_witness_is_malformed(self, tmp_path, field):
+        out = tmp_path / "g.json"
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out,
+            cache=tmp_path)
+        data = json.loads(out.read_text())
+        if field == "vertex":
+            assert data["A"][0]["a"] == 1
+            data["A"][0]["a"] = True
+        else:
+            data["thetas"][0] = True
+        out.write_text(json.dumps(data))
+        assert run("verify", out, cache=tmp_path).returncode == 2
+
     def test_plain_graph_biclique(self, tmp_path):
         G = make_graph(3, 3)
         u = G.vertex_from_id(0)
@@ -327,6 +386,10 @@ class TestExport:
 
     def test_bad_params(self, tmp_path):
         assert run("export", "--p", 6, "--t", 3, cache=tmp_path).returncode == 2
+
+    def test_composite_p_reported_as_such(self, tmp_path):
+        r = run("export", "--p", 6, "--t", 3, cache=tmp_path)
+        assert r.stderr == "error: p must be prime, got 6\n"
 
 
 class TestWitnessGeneral:

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from normgraph import k46, polys
 from normgraph.graph import Vertex
 from normgraph.k46 import (
     DegeneracyError,
@@ -18,6 +20,22 @@ from normgraph.k46 import (
     verify_witness,
     witness_graph,
 )
+from normgraph.primes import primes_up_to
+
+# sieve rejection classes, keyed by a phrase of the reason text
+REASON_CLASSES = (
+    ("is not 1 mod 3", "not_1_mod_3"),
+    ("2 is a cube", "two_cube"),
+    ("3 is a cube", "three_cube"),
+    ("6 is not a cube", "six_not_cube"),
+    ("divides", "disc"),
+)
+
+
+def reason_class(row) -> str:
+    if row.qualifying:
+        return "qualifying"
+    return next(cls for text, cls in REASON_CLASSES if text in row.reason)
 
 
 class TestQualifying:
@@ -111,6 +129,18 @@ class TestSieve:
             sieve_from_csv("nope\n", 10)
         with pytest.raises(ValueError):
             sieve_from_csv("p,qualifying,reason\n7,maybe,x\n", 10)
+
+    def test_reason_counts_to_2e5(self):
+        res = sieve_qualifying(200000)
+        assert res.pi == 17984
+        assert Counter(reason_class(r) for r in res.rows) == {
+            "not_1_mod_3": 8994,
+            "two_cube": 2987,
+            "three_cube": 2001,
+            "six_not_cube": 2020,
+            "disc": 2,
+            "qualifying": 1980,
+        }
 
     def test_summary_fields(self):
         s = sieve_summary(sieve_qualifying(150))
@@ -236,3 +266,32 @@ class TestVerdictSampling:
             )
             got, _ = qualifying_verdict(p)
             assert got == expected, f"verdict mismatch at {p}"
+
+
+class TestSplittingIndependence:
+    def test_splitting_route_never_computes_residues(self, monkeypatch):
+        # with every residue computation disabled, the splitting route alone
+        # must still reproduce a brute-force table of cubes
+        def forbidden(*args):
+            raise AssertionError("splitting route reached the residue route")
+
+        monkeypatch.setattr(k46, "power_residue", forbidden)
+        monkeypatch.setattr(polys, "power_residue", forbidden)
+        monkeypatch.setattr(polys, "fp_pow", forbidden)
+        for p in primes_up_to(2000):
+            cubes = {x**3 % p for x in range(1, p)}
+            if p % 3 != 1:
+                want = "is not 1 mod 3"
+            elif 2 in cubes:
+                want = "2 is a cube"
+            elif 3 in cubes:
+                want = "3 is a cube"
+            elif 6 not in cubes:
+                want = "6 is not a cube"
+            else:
+                want = None
+            got = k46._poly_formulation(p)
+            if want is None:
+                assert got is None, f"p = {p}: {got}"
+            else:
+                assert got is not None and want in got, f"p = {p}: {got}"

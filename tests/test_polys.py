@@ -17,6 +17,7 @@ from normgraph.polys import (
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_pow_mod,
     poly_to_json,
     poly_trim,
     power_residue,
@@ -83,6 +84,74 @@ class TestGcd:
         assert poly_gcd(h, [], 7) == poly_monic(h, 7)
 
 
+def naive_pow_mod(base, e, h, p):
+    """Reference power: square-and-multiply on whole lists, every product
+    formed by poly_mul and reduced by poly_divmod."""
+    result = poly_divmod([1], h, p)[1]
+    base = poly_divmod(base, h, p)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(poly_mul(result, base, p), h, p)[1]
+        base = poly_divmod(poly_mul(base, base, p), h, p)[1]
+        e >>= 1
+    return result
+
+
+class TestCubicPowMod:
+    # one prime near 10^6 beside the small ones, so products exceed 2^40
+    PRIMES = [2, 3, 5, 7, 13, 10007, 999983]
+
+    @staticmethod
+    def random_cubic(rng, p):
+        """Cubic mod p with unreduced coefficients, often not monic, and
+        sometimes a top coefficient that vanishes mod p."""
+        h = [rng.randrange(-3 * p, 3 * p) for _ in range(3)]
+        h.append(rng.randrange(1, p) + p * rng.randrange(-2, 3))
+        if rng.random() < 0.3:
+            h.append(p * rng.randrange(-2, 3))
+        return h
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_naive_reference(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            h = self.random_cubic(rng, p)
+            base = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(8))]
+            e = rng.choice([0, 1, 2, 3, p, p + 1, rng.randrange(4 * p), rng.randrange(p**3)])
+            assert poly_pow_mod(base, e, h, p) == naive_pow_mod(base, e, h, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_repeated_multiplication(self, p):
+        # small exponents against e-fold multiplication, no squaring at all
+        rng = random.Random(100 + p)
+        h = self.random_cubic(rng, p)
+        base = [rng.randrange(-p, p) for _ in range(5)]
+        acc = poly_divmod([1], h, p)[1]
+        for e in range(40):
+            assert poly_pow_mod(base, e, h, p) == acc
+            acc = poly_divmod(poly_mul(acc, base, p), h, p)[1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_base(self, p):
+        h = [1, 0, 2 * p, 1]
+        for zero in ([], [0], [p, -2 * p]):
+            assert poly_pow_mod(zero, 0, h, p) == [1]
+            assert poly_pow_mod(zero, 5, h, p) == []
+
+    @pytest.mark.parametrize("p", [7, 13, 10007])
+    def test_frobenius_order_on_irreducible(self, p):
+        # x^(p^3) == x in GF(p^3) = F_p[x]/(h) for irreducible h
+        h = next(
+            [c, 1, 0, 1] for c in range(p) if is_irreducible([c, 1, 0, 1], p)
+        )
+        assert poly_pow_mod([0, 1], p**3, h, p) == [0, 1]
+        assert poly_pow_mod([0, 1], p, h, p) != [0, 1]
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError):
+            poly_pow_mod([0, 1], -1, [1, 0, 0, 1], 7)
+
+
 class TestIrreducibility:
     def test_known_cubics_mod_7(self):
         assert is_irreducible([-2, 0, 0, 1], 7) is True  # 2 is not a cube mod 7
@@ -99,7 +168,7 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible([], 7)
 
-    @pytest.mark.parametrize("p", [7, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_cubic_agrees_with_root_scan(self, p):
         # for degree <= 3 irreducibility is exactly root-freeness
         for n in range(p**3):
