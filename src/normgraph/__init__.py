@@ -18,7 +18,6 @@ from .graph import (
     NormGraph,
     Vertex,
     make_graph,
-    witness_from_json,
     witness_to_json,
 )
 from .k46 import (
@@ -66,7 +65,6 @@ __all__ = [
     "sieve_qualifying",
     "verify_general_witness",
     "verify_witness",
-    "witness_from_json",
     "witness_to_json",
     "__version__",
 ]

@@ -19,19 +19,18 @@ import sys
 from pathlib import Path
 
 from . import general, k46
-from .general import is_json_int
 from .graph import (
     ENUM_LIMIT,
     CENSUS_BUDGET,
     NormGraph,
     Vertex,
+    check_vertices,
+    is_json_int,
     make_graph,
     witness_to_json,
 )
 from .polys import find_root_in_ext
 from .primes import primes_up_to
-
-X3_MINUS_2 = k46.X3_MINUS_2
 
 
 # -- cache ---------------------------------------------------------------------
@@ -57,17 +56,13 @@ def _note(msg: str) -> None:
 
 def _recheck_sieve_rows(res: k46.SieveResult) -> bool:
     """Cheap trust check on cached rows: the prime list must match a fresh
-    sieve and every verdict must match the residue formulation (primality
-    is already settled by the prime-list comparison)."""
+    sieve and every row, verdict and reason, must match the residue
+    formulation (primality is already settled by the prime-list comparison)."""
     if [r.p for r in res.rows] != primes_up_to(res.limit):
         return False
     for r in res.rows:
-        ok = (
-            k46.PRODUCT_DISC % r.p != 0
-            and k46.WITNESS_CUBIC_DISC % r.p != 0
-            and k46._residue_formulation(r.p)
-        )
-        if ok != r.qualifying:
+        reason = k46._shared_reject(r.p) or k46._residue_formulation(r.p) or ""
+        if r != k46.SieveRow(r.p, not reason, reason):
             return False
     return True
 
@@ -75,9 +70,10 @@ def _recheck_sieve_rows(res: k46.SieveResult) -> bool:
 def sieve_with_cache(
     limit: int, jobs: int, cache_dir: Path | None
 ) -> k46.SieveResult:
-    """Sieve, consulting the CSV cache when a directory is given.  Hits are
-    re-verified, not trusted; misses and stale entries are recomputed and
-    rewritten.  Stdout output never differs between the paths."""
+    """Sieve, consulting the CSV cache when a directory is given (it must
+    exist).  Hits are re-verified, not trusted; misses and stale entries are
+    recomputed and rewritten.  Stdout output never differs between the
+    paths."""
     path = None
     if cache_dir is not None:
         path = cache_path(cache_dir, "sieve", {"limit": limit})
@@ -93,7 +89,6 @@ def sieve_with_cache(
                 _note("cache entry failed re-verification; recomputing")
     res = k46.sieve_qualifying(limit, jobs=jobs)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(k46.sieve_to_csv(res), encoding="utf-8")
         os.replace(tmp, path)
@@ -123,6 +118,14 @@ def cmd_sieve(args) -> int:
     if args.limit < 2:
         return _usage_error("--limit must be >= 2")
     cache_dir = None if args.no_cache else Path(args.cache_dir)
+    if cache_dir is not None:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            writable = os.access(cache_dir, os.W_OK | os.X_OK)
+        except OSError:
+            writable = False
+        if not writable:
+            return _usage_error(f"--cache-dir {cache_dir} is not a writable directory")
     res = sieve_with_cache(args.limit, args.jobs, cache_dir)
     if args.format == "csv":
         out = k46.sieve_to_csv(res)
@@ -299,7 +302,9 @@ def cmd_census(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _schema_check_graph_witness(data: dict) -> None:
+def _schema_check_graph_witness(data: dict) -> tuple[list[Vertex], list[Vertex]]:
+    """Shape-only validation; returns the L and R vertices and raises
+    ValueError on malformed input."""
     for key in ("p", "t", "modulus", "L", "R", "verified"):
         if key not in data:
             raise ValueError(f"witness JSON is missing {key!r}")
@@ -311,25 +316,17 @@ def _schema_check_graph_witness(data: dict) -> None:
         is_json_int(c) for c in mod
     ):
         raise ValueError(f"modulus must list {t} integer coefficients")
+    sides = []
     for part in ("L", "R"):
         if not isinstance(data[part], list) or not data[part]:
             raise ValueError(f"{part} must be a nonempty vertex list")
-        for v in data[part]:
-            if (
-                not isinstance(v, dict)
-                or not is_json_int(v.get("a"))
-                or not isinstance(v.get("alpha"), list)
-                or len(v["alpha"]) != t - 1
-                or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
-                or not 1 <= v["a"] < p
-            ):
-                raise ValueError(f"malformed vertex in {part}")
+        sides.append(check_vertices(data[part], part, p, t - 1))
+    return sides[0], sides[1]
 
 
 def _verify_graph_witness(data: dict) -> tuple[list[str], bool]:
+    L, R = _schema_check_graph_witness(data)
     G = make_graph(data["p"], data["t"], list(data["modulus"]))
-    L = [Vertex(tuple(v["alpha"]), v["a"]) for v in data["L"]]
-    R = [Vertex(tuple(v["alpha"]), v["a"]) for v in data["R"]]
 
     # the closed-form identity layer only makes sense for the canonical
     # witness over x^3 - 2; anything else gets the graph layer alone

@@ -1,4 +1,5 @@
-"""Exact arithmetic in prime fields F_p and extensions GF(p^k).
+"""Exact arithmetic in extensions GF(p^k) of prime fields.  The F_p
+scalars fp_pow and fp_inv live in polys and are re-exported here.
 
 Extension elements are plain tuples of k ints (coefficients of
 1, x, ..., x^(k-1), little-endian) reduced mod p.  All arithmetic is
@@ -7,38 +8,22 @@ exact integer arithmetic; nothing here floats.
 
 from __future__ import annotations
 
-import json
-
-from .primes import is_prime, prime_factors
+from .polys import fp_inv, fp_pow, is_irreducible, poly_divmod, poly_mul, poly_sub, poly_trim
+from .primes import is_prime
 
 ExtElement = tuple[int, ...]
 
 # elements() refuses to enumerate fields beyond this many elements
 _ENUM_LIMIT = 2**40
 
-
-def fp_pow(a: int, e: int, p: int) -> int:
-    """a**e mod p.  Convention: 0**0 == 1.  Negative e inverts first."""
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    return pow(a % p, e, p)
-
-
-def fp_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod prime p."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(a, -1, p)
+__all__ = ["ExtElement", "ExtField", "fp_inv", "fp_pow"]
 
 
 class ExtField:
     """GF(p^k) presented as F_p[x] / (modulus).
 
     The modulus must be monic of degree k and irreducible mod p; the
-    constructor verifies all three (irreducibility by the distinct-degree
-    criterion: x^(p^k) == x in the quotient ring, and x^(p^(k/l)) - x a
-    unit for every prime l dividing k).
+    constructor verifies all three (irreducibility by polys.is_irreducible).
     """
 
     def __init__(self, p: int, k: int, modulus: list[int] | tuple[int, ...]):
@@ -49,6 +34,8 @@ class ExtField:
         mod = tuple(c % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}")
+        if not is_irreducible(mod, p):
+            raise ValueError("modulus is not irreducible")
         self.p = p
         self.k = k
         self.modulus = mod
@@ -60,28 +47,8 @@ class ExtField:
         else:
             self.gen = (0, 1) + (0,) * (k - 2)
         self._xp = self.pow(self.gen, p)  # x^p, drives frobenius()
-        self._check_irreducible()
 
-    # -- construction / validation -------------------------------------
-
-    def _check_irreducible(self) -> None:
-        u = self.gen
-        powers = [u]  # powers[i] = x^(p^i) in the quotient ring
-        for _ in range(self.k):
-            powers.append(self.pow(powers[-1], self.p))
-        if powers[self.k] != self.gen:
-            raise ValueError("modulus is not irreducible (x^(p^k) != x)")
-        for ell in prime_factors(self.k) if self.k > 1 else []:
-            d = self.sub(powers[self.k // ell], self.gen)
-            if d == self.zero or not self._is_unit(d):
-                raise ValueError("modulus is not irreducible (nontrivial factor found)")
-
-    def _is_unit(self, a: ExtElement) -> bool:
-        try:
-            self.inv(a)
-        except ZeroDivisionError:
-            return False
-        return True
+    # -- construction -----------------------------------------------------
 
     def element(self, coeffs) -> ExtElement:
         """Normalize an iterable of ints to a valid element (reduce mod p, pad)."""
@@ -141,23 +108,18 @@ class ExtField:
         if a == self.zero:
             raise ZeroDivisionError("0 has no inverse")
         p = self.p
-        r0 = list(self.modulus)
-        r1 = [c for c in a]
-        s0, s1 = [0], [1]
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            q, rem = _poly_divmod_fp(r0, r1, p)
+        r0, r1 = list(self.modulus), poly_trim(a)
+        s0, s1 = [], [1]
+        while r1:
+            q, rem = poly_divmod(r0, r1, p)
             r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub_fp(s0, _poly_mul_fp(q, s1, p), p)
-        while r0 and r0[-1] == 0:
-            r0.pop()
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
         if len(r0) != 1:
             raise ZeroDivisionError("element is not a unit (shares a factor with the modulus)")
         c = fp_inv(r0[0], p)
         out = [x * c % p for x in s0]
         out.extend([0] * (self.k - len(out)))
-        return tuple(out[: self.k])
+        return tuple(out)
 
     # -- field structure -------------------------------------------------
 
@@ -230,7 +192,7 @@ class ExtField:
             raise AssertionError(f"norm mismatch: conjugate product {n1} vs determinant {n2}")
         return n1
 
-    # -- enumeration and serialization ------------------------------------
+    # -- enumeration --------------------------------------------------------
 
     def order(self) -> int:
         return self.p**self.k
@@ -258,14 +220,6 @@ class ExtField:
         for n in range(self.order()):
             yield self.element_from_index(n)
 
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "k": self.k, "modulus": list(self.modulus)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExtField":
-        d = json.loads(text)
-        return cls(d["p"], d["k"], d["modulus"])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtField):
             return NotImplemented
@@ -276,57 +230,3 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
-
-
-def element_to_json(a: ExtElement) -> list[int]:
-    return list(a)
-
-
-def element_from_json(field: ExtField, data) -> ExtElement:
-    if not isinstance(data, list) or len(data) != field.k:
-        raise ValueError(f"element must be a list of {field.k} ints")
-    return field.element(data)
-
-
-# -- bare F_p[x] helpers shared with inv(); dense little-endian lists  ----
-
-
-def _poly_sub_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
-
-
-def _poly_mul_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_divmod_fp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = fp_inv(b[-1], p)
-    rem = a[:]
-    if len(rem) < len(b):
-        return [], rem
-    q = [0] * (len(rem) - len(b) + 1)
-    for d in range(len(rem) - len(b), -1, -1):
-        c = rem[d + len(b) - 1] * inv_lead % p
-        if c:
-            q[d] = c
-            for j, bj in enumerate(b):
-                rem[d + j] = (rem[d + j] - c * bj) % p
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem

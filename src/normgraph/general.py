@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import ExtElement, ExtField
-from .graph import BicliqueWitness, NormGraph, Vertex, make_graph
+from .graph import (
+    Vertex,
+    WitnessReport,
+    check_vertices,
+    is_json_int,
+    make_graph,
+    vertex_to_obj,
+)
 from .parallel import chunk_list, run_tasks
 from .polys import (
     find_root_in_ext,
@@ -107,9 +114,8 @@ def find_parameters(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     tasks = [(t, m, p) for p in primes_up_to(prime_limit)]
-    parts = 1 if jobs <= 1 else jobs * 4
     found: list[GeneralParams] = []
-    for group in chunk_list(tasks, parts):
+    for group in chunk_list(tasks, jobs):
         for result in run_tasks(_scan_prime, group, jobs):
             found.extend(result)
         if max_results is not None and len(found) >= max_results:
@@ -151,23 +157,7 @@ def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitnes
     return GeneralWitness(params=params, field=field, A=A, B=B, alphas=alphas)
 
 
-@dataclass
-class GeneralReport:
-    biclique: BicliqueWitness
-    adjacency_checked: int
-    identity_checked: int
-    identity_failures: list[str]
-
-    @property
-    def adjacency_failures(self) -> list:
-        return self.biclique.report.failed_pairs
-
-    @property
-    def passed(self) -> bool:
-        return self.biclique.report.passed and not self.identity_failures
-
-
-def verify_general_witness(w: GeneralWitness) -> GeneralReport:
+def verify_general_witness(w: GeneralWitness) -> WitnessReport:
     """Graph layer: every A-B pair adjacent in P(p,t) over f_1 - r.
     Identity layer: for c in {0, zeta^k} and every i,
     norm(c - alpha_i) = (f_i - r)(c) = theta_i - r, with alpha_i read back
@@ -200,7 +190,7 @@ def verify_general_witness(w: GeneralWitness) -> GeneralReport:
                     f"identity fails for B[{i}] at c = {c}: norm {lhs}, "
                     f"evaluation {rhs}, expected {target}"
                 )
-    return GeneralReport(
+    return WitnessReport(
         biclique=biclique,
         adjacency_checked=len(w.A) * len(w.B),
         identity_checked=(t - 1) * m,
@@ -228,20 +218,15 @@ def general_witness_to_json(w: GeneralWitness, verified: bool) -> dict:
         "r": w.params.r,
         "thetas": list(w.params.thetas),
         "zeta": w.params.zeta,
-        "A": [{"alpha": list(v.alpha), "a": v.a} for v in w.A],
-        "B": [{"alpha": list(v.alpha), "a": v.a} for v in w.B],
+        "A": [vertex_to_obj(v) for v in w.A],
+        "B": [vertex_to_obj(v) for v in w.B],
         "verified": bool(verified),
     }
 
 
-def is_json_int(x) -> bool:
-    """True for a JSON integer.  bool subclasses int, so isinstance(x, int)
-    would also accept JSON true and false."""
-    return type(x) is int
-
-
-def general_schema_check(data: dict) -> None:
-    """Shape-only validation; raises ValueError on malformed input."""
+def general_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
+    """Shape-only validation; returns the A and B vertices and raises
+    ValueError on malformed input."""
     for key in ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified"):
         if key not in data:
             raise ValueError(f"general witness JSON is missing {key!r}")
@@ -256,26 +241,19 @@ def general_schema_check(data: dict) -> None:
         is_json_int(th) for th in thetas
     ):
         raise ValueError("thetas must list m integers")
+    sides = []
     for part, want in (("A", t - 1), ("B", m)):
         if not isinstance(data[part], list) or len(data[part]) != want:
             raise ValueError(f"{part} must list {want} vertices")
-        for v in data[part]:
-            if (
-                not isinstance(v, dict)
-                or not is_json_int(v.get("a"))
-                or not isinstance(v.get("alpha"), list)
-                or len(v["alpha"]) != t - 1
-                or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
-                or not 1 <= v["a"] < p
-            ):
-                raise ValueError(f"malformed vertex in {part}")
+        sides.append(check_vertices(data[part], part, p, t - 1))
+    return sides[0], sides[1]
 
 
 def general_witness_from_json(data: dict) -> GeneralWitness:
     """Rebuild a witness from its JSON form.  Schema problems raise from
     general_schema_check; mathematical problems (reducible modulus and the
     like) surface from the field construction."""
-    general_schema_check(data)
+    A, B = general_schema_check(data)
     params = GeneralParams(
         t=data["t"],
         m=data["m"],
@@ -287,7 +265,5 @@ def general_witness_from_json(data: dict) -> GeneralWitness:
     field = ExtField(
         params.p, params.t - 1, shifted_poly(params.t, params.thetas[0], params.r, params.p)
     )
-    A = [Vertex(tuple(v["alpha"]), v["a"]) for v in data["A"]]
-    B = [Vertex(tuple(v["alpha"]), v["a"]) for v in data["B"]]
     alphas = [field.neg(v.alpha) for v in B]
     return GeneralWitness(params=params, field=field, A=A, B=B, alphas=alphas)

@@ -56,6 +56,25 @@ class BicliqueWitness:
     report: BicliqueReport
 
 
+@dataclass
+class WitnessReport:
+    """A witness's two verification layers: the biclique's adjacencies and
+    its closed-form identities."""
+
+    biclique: BicliqueWitness
+    adjacency_checked: int
+    identity_checked: int
+    identity_failures: list[str]
+
+    @property
+    def adjacency_failures(self) -> list:
+        return self.biclique.report.failed_pairs
+
+    @property
+    def passed(self) -> bool:
+        return self.biclique.report.passed and not self.identity_failures
+
+
 def _smallest_irreducible(p: int, k: int) -> list[int]:
     # scan monic degree-k polynomials in integer-encoding order of their
     # lower coefficients; first irreducible wins, so the choice is stable
@@ -260,10 +279,9 @@ class NormGraph:
                 f"census over C({self.n},{k}) = {total} subsets exceeds budget {budget}"
             )
         bitsets = self._all_bitsets()
-        parts = 1 if jobs <= 1 else jobs * 4
         tasks = [
             (bitsets, k, start, count)
-            for start, count in chunk_ranges(total, parts)
+            for start, count in chunk_ranges(total, jobs)
         ]
         results = run_tasks(_census_worker, tasks, jobs)
         best, best_subset = -1, ()
@@ -297,8 +315,7 @@ class NormGraph:
                 raise ValueError(f"planted subset {extra!r} is not a {k}-subset")
             subsets.append(ids)
         bitsets = self._all_bitsets()
-        parts = 1 if jobs <= 1 else jobs * 4
-        tasks = [(bitsets, chunk) for chunk in chunk_list(subsets, parts)]
+        tasks = [(bitsets, chunk) for chunk in chunk_list(subsets, jobs)]
         results = run_tasks(_sample_worker, tasks, jobs)
         best, best_subset = -1, ()
         for size, subset in results:
@@ -388,13 +405,28 @@ def vertex_to_obj(v: Vertex) -> dict:
     return {"alpha": list(v.alpha), "a": v.a}
 
 
-def vertex_from_obj(G: NormGraph, obj) -> Vertex:
-    if not isinstance(obj, dict) or "alpha" not in obj or "a" not in obj:
-        raise ValueError("vertex object needs 'alpha' and 'a'")
-    alpha = obj["alpha"]
-    if not isinstance(alpha, list) or len(alpha) != G.field.k:
-        raise ValueError(f"alpha must be a list of {G.field.k} ints")
-    return G.check_vertex(Vertex(tuple(int(c) for c in alpha), int(obj["a"])))
+def is_json_int(x) -> bool:
+    """True for a JSON integer.  bool subclasses int, so isinstance(x, int)
+    would also accept JSON true and false."""
+    return type(x) is int
+
+
+def check_vertices(items, part: str, p: int, k: int) -> list[Vertex]:
+    """Vertices from their JSON objects {"alpha": k ints in [0, p), "a": an
+    int in [1, p)}; anything else raises ValueError naming `part`."""
+    out = []
+    for v in items:
+        if (
+            not isinstance(v, dict)
+            or not is_json_int(v.get("a"))
+            or not isinstance(v.get("alpha"), list)
+            or len(v["alpha"]) != k
+            or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
+            or not 1 <= v["a"] < p
+        ):
+            raise ValueError(f"malformed vertex in {part}")
+        out.append(Vertex(tuple(v["alpha"]), v["a"]))
+    return out
 
 
 def witness_to_json(G: NormGraph, L, R, verified: bool) -> dict:
@@ -406,13 +438,3 @@ def witness_to_json(G: NormGraph, L, R, verified: bool) -> dict:
         "R": [vertex_to_obj(v) for v in R],
         "verified": bool(verified),
     }
-
-
-def witness_from_json(data: dict) -> tuple[NormGraph, list[Vertex], list[Vertex], bool]:
-    for key in ("p", "t", "modulus", "L", "R", "verified"):
-        if key not in data:
-            raise ValueError(f"witness JSON is missing {key!r}")
-    G = make_graph(int(data["p"]), int(data["t"]), [int(c) for c in data["modulus"]])
-    L = [vertex_from_obj(G, v) for v in data["L"]]
-    R = [vertex_from_obj(G, v) for v in data["R"]]
-    return G, L, R, bool(data["verified"])

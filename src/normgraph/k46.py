@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import ExtField, fp_inv
-from .graph import BicliqueWitness, NormGraph, Vertex, make_graph
+from .graph import NormGraph, Vertex, WitnessReport, make_graph
 from .parallel import chunk_list, run_tasks
 from .polys import (
     discriminant,
@@ -71,8 +71,8 @@ class DegeneracyError(ValueError):
 
 
 def _shared_reject(p: int) -> str | None:
-    if not is_prime(p):
-        return f"{p} is not prime"
+    """A prime p's rejection by the discriminants, which both formulations
+    share."""
     both = 26244 % p == 0 and 248832 % p == 0
     if both:
         return f"{p} divides both discriminants 26244 and -248832"
@@ -103,30 +103,36 @@ def _poly_formulation(p: int) -> str | None:
     return None
 
 
-def _residue_formulation(p: int) -> bool:
-    """Equivalent verdict from two exponentiations instead of factoring."""
-    return (
-        p % 3 == 1
-        and not power_residue(2, 3, p)
-        and power_residue(6, 3, p)
-    )
+def _residue_formulation(p: int) -> str | None:
+    """The same first failed condition, from exponentiations instead of
+    factoring."""
+    if p % 3 != 1:
+        return f"{p} is not 1 mod 3 (no primitive cube root of unity)"
+    if power_residue(2, 3, p):
+        return f"2 is a cube mod {p} (x^3 - 2 is not irreducible)"
+    if power_residue(3, 3, p):
+        return f"3 is a cube mod {p} (x^3 - 3 is not irreducible)"
+    if not power_residue(6, 3, p):
+        return f"6 is not a cube mod {p} (x^3 - 6 does not split)"
+    return None
 
 
 def qualifying_verdict(p: int) -> tuple[bool, str]:
     """(qualifies, reason); reason is empty on success.  Both formulations
-    are evaluated and must agree."""
+    are evaluated and must agree on the first failed condition."""
+    if not is_prime(p):
+        return False, f"{p} is not prime"
     shared = _shared_reject(p)
     if shared is not None:
         return False, shared
     reason = _poly_formulation(p)
-    poly_ok = reason is None
-    residue_ok = _residue_formulation(p)
-    if poly_ok != residue_ok:
+    residue_reason = _residue_formulation(p)
+    if reason != residue_reason:
         raise AssertionError(
             f"splitting and residue formulations disagree at p = {p}: "
-            f"{poly_ok} vs {residue_ok}"
+            f"{reason!r} vs {residue_reason!r}"
         )
-    return poly_ok, reason or ""
+    return reason is None, reason or ""
 
 
 def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
@@ -192,8 +198,7 @@ def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     primes = primes_up_to(limit)
-    parts = 1 if jobs <= 1 else jobs * 4
-    chunks = run_tasks(_sieve_chunk, chunk_list(primes, parts), jobs)
+    chunks = run_tasks(_sieve_chunk, chunk_list(primes, jobs), jobs)
     rows = [row for chunk in chunks for row in chunk]
     return SieveResult(limit=limit, rows=rows)
 
@@ -294,22 +299,6 @@ def _check_degeneracy(w: WitnessK46) -> None:
 
 
 # -- witness verification -------------------------------------------------------
-
-
-@dataclass
-class WitnessReport:
-    biclique: BicliqueWitness
-    adjacency_checked: int
-    identity_checked: int
-    identity_failures: list[str]
-
-    @property
-    def adjacency_failures(self) -> list:
-        return self.biclique.report.failed_pairs
-
-    @property
-    def passed(self) -> bool:
-        return self.biclique.report.passed and not self.identity_failures
 
 
 def verify_witness(w: WitnessK46) -> WitnessReport:

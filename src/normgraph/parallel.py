@@ -7,23 +7,27 @@ the worker count.  Workers must be module-level functions (picklable).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
 def run_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over tasks, in order; forks a process pool only when it pays."""
+    """fn over tasks, in order; forks a process pool only when it pays.
+    The pool never has more workers than tasks or CPUs."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    max_workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, tasks))
 
 
-def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `parts` contiguous (start, count)
-    pieces covering everything in order."""
+def chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
+    """Split range(total) into contiguous (start, count) pieces covering
+    everything in order: one piece at jobs <= 1, else at most jobs * 4, so
+    that uneven pieces still keep every worker busy."""
     if total <= 0:
         return []
-    parts = max(1, min(parts, total))
+    parts = 1 if jobs <= 1 else min(jobs * 4, total)
     base, extra = divmod(total, parts)
     out = []
     start = 0
@@ -34,6 +38,7 @@ def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def chunk_list(items: list, parts: int) -> list[list]:
-    """Split a list into at most `parts` contiguous chunks, preserving order."""
-    return [items[s : s + c] for s, c in chunk_ranges(len(items), parts)]
+def chunk_list(items: list, jobs: int) -> list[list]:
+    """Split a list into contiguous chunks as chunk_ranges does, preserving
+    order."""
+    return [items[s : s + c] for s, c in chunk_ranges(len(items), jobs)]

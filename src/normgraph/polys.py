@@ -1,4 +1,5 @@
-"""Univariate polynomial algebra over F_p, extension fields, and the integers.
+"""Scalars of F_p, and univariate polynomial algebra over F_p, extension
+fields and the integers.
 
 Polynomials are dense little-endian coefficient lists.  The zero polynomial
 is the empty list; all functions keep coefficients canonical (reduced mod p,
@@ -10,9 +11,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .ff import ExtElement, ExtField, fp_inv, fp_pow
 from .primes import prime_factors
+
+if TYPE_CHECKING:
+    from .ff import ExtElement, ExtField
 
 # exhaustive root scans refuse primes at or above this bound
 ROOT_SCAN_LIMIT = 2**22
@@ -21,6 +25,21 @@ ROOT_SCAN_LIMIT = 2**22
 # input the failure probability is below 2^-64, so hitting it means the
 # caller's splitting precondition is wrong
 _SPLIT_ATTEMPTS = 64
+
+
+def fp_pow(a: int, e: int, p: int) -> int:
+    """a**e mod p.  Convention: 0**0 == 1.  Negative e inverts first."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
+    return pow(a % p, e, p)
+
+
+def fp_inv(a: int, p: int) -> int:
+    """Multiplicative inverse of a mod prime p."""
+    a %= p
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return pow(a, -1, p)
 
 
 def poly_trim(h: list[int]) -> list[int]:
@@ -434,31 +453,3 @@ def discriminant(h) -> int:
         raise AssertionError("discriminant division was not exact")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * int(r)
-
-
-# -- serialization ----------------------------------------------------------
-
-_DOMAINS = ("fp", "ext", "int")
-
-
-def poly_to_json(coeffs, domain: str) -> dict:
-    if domain not in _DOMAINS:
-        raise ValueError(f"unknown polynomial domain {domain!r}")
-    if domain == "ext":
-        cs = [list(c) for c in coeffs]
-    else:
-        cs = [int(c) for c in coeffs]
-    return {"domain": domain, "coeffs": cs}
-
-
-def poly_from_json(data: dict) -> tuple[list, str]:
-    if not isinstance(data, dict) or "domain" not in data or "coeffs" not in data:
-        raise ValueError("polynomial JSON needs 'domain' and 'coeffs'")
-    domain = data["domain"]
-    if domain not in _DOMAINS:
-        raise ValueError(f"unknown polynomial domain {domain!r}")
-    if domain == "ext":
-        coeffs = [tuple(int(x) for x in c) for c in data["coeffs"]]
-    else:
-        coeffs = [int(c) for c in data["coeffs"]]
-    return coeffs, domain

@@ -104,6 +104,26 @@ class TestSieve:
         # the rewritten entry is clean again
         assert "7,1," in f.read_text()
 
+    def test_tampered_reasons_recomputed(self, tmp_path):
+        first = run("sieve", "--limit", 200, "--format", "csv", cache=tmp_path)
+        f = next(tmp_path.glob("sieve-200-*.csv"))
+        forged = {"7": "7,1,TAMPERED", "11": "11,0,forged reason"}
+        f.write_text("".join(
+            forged.get(ln.split(",")[0], ln) + "\n" for ln in f.read_text().splitlines()
+        ))
+        again = run("sieve", "--limit", 200, "--format", "csv", cache=tmp_path)
+        assert again.stdout == first.stdout
+        assert "failed re-verification" in again.stderr
+
+    def test_unwritable_cache_dir(self, tmp_path):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        for cache_dir in (blocker, blocker / "sub"):
+            r = run("sieve", "--limit", 150, "--cache-dir", cache_dir)
+            assert r.returncode == 2
+            assert r.stdout == ""
+            assert r.stderr == f"error: --cache-dir {cache_dir} is not a writable directory\n"
+
     def test_no_cache_writes_nothing(self, tmp_path):
         run("sieve", "--limit", 100, "--no-cache", cache=tmp_path)
         assert list(tmp_path.glob("*")) == []

@@ -1,15 +1,8 @@
-import json
 import random
 
 import pytest
 
-from normgraph.ff import (
-    ExtField,
-    element_from_json,
-    element_to_json,
-    fp_inv,
-    fp_pow,
-)
+from normgraph.ff import ExtField, fp_inv, fp_pow
 
 
 def f7_cubic():
@@ -275,24 +268,3 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             f.element_from_index(-1)
 
-
-class TestSerialization:
-    def test_field_json_roundtrip(self):
-        f = f7_cubic()
-        g = ExtField.from_json(f.to_json())
-        assert g == f
-        d = json.loads(f.to_json())
-        assert d == {"p": 7, "k": 3, "modulus": [5, 0, 0, 1]}
-
-    def test_element_json_roundtrip(self):
-        f = f7_cubic()
-        a = (6, 3, 5)
-        assert element_to_json(a) == [6, 3, 5]
-        assert element_from_json(f, [6, 3, 5]) == a
-
-    def test_element_json_rejects_bad_shape(self):
-        f = f7_cubic()
-        with pytest.raises(ValueError):
-            element_from_json(f, [1, 2])
-        with pytest.raises(ValueError):
-            element_from_json(f, "nope")

@@ -8,10 +8,9 @@ from normgraph.graph import (
     Vertex,
     _colex_unrank,
     _census_worker,
+    check_vertices,
     make_graph,
-    vertex_from_obj,
     vertex_to_obj,
-    witness_from_json,
     witness_to_json,
 )
 
@@ -327,21 +326,25 @@ class TestWitnessJson:
         data = witness_to_json(G, L, R, True)
         assert data["p"] == 7 and data["t"] == 4
         assert data["modulus"] == [5, 0, 0, 1]
-        G2, L2, R2, flag = witness_from_json(data)
-        assert (L2, R2, flag) == (L, R, True)
-        assert G2.field == G.field
+        assert data["verified"] is True
+        assert check_vertices(data["L"], "L", G.p, G.field.k) == L
+        assert check_vertices(data["R"], "R", G.p, G.field.k) == R
 
     def test_vertex_objects(self):
-        G = p74()
         v = Vertex((6, 3, 5), 2)
         assert vertex_to_obj(v) == {"alpha": [6, 3, 5], "a": 2}
-        assert vertex_from_obj(G, {"alpha": [6, 3, 5], "a": 2}) == v
+        assert check_vertices([vertex_to_obj(v)], "L", 7, 3) == [v]
 
     def test_malformed_rejected(self):
-        G = p74()
-        with pytest.raises(ValueError):
-            vertex_from_obj(G, {"alpha": [1, 2], "a": 1})
-        with pytest.raises(ValueError):
-            vertex_from_obj(G, {"alpha": [0, 0, 0], "a": 0})
-        with pytest.raises(ValueError):
-            witness_from_json({"p": 7, "t": 4})
+        good = vertex_to_obj(Vertex((0, 0, 0), 1))
+        for obj in (
+            {"alpha": [1, 2], "a": 1},  # alpha too short
+            {"alpha": [0, 0, 0], "a": 0},  # a out of range
+            {"alpha": [0, 0, 7], "a": 1},  # coefficient out of range
+            {"alpha": [0, 0, 0], "a": True},  # JSON boolean
+            {"alpha": [0, 0, 0], "a": "3"},  # string
+            {"alpha": [0, 0, 0]},  # missing a
+            [0, 0, 0, 1],  # not an object
+        ):
+            with pytest.raises(ValueError, match="malformed vertex in R"):
+                check_vertices([good, obj], "R", 7, 3)

@@ -13,12 +13,10 @@ from normgraph.polys import (
     poly_deriv,
     poly_divmod,
     poly_eval,
-    poly_from_json,
     poly_gcd,
     poly_monic,
     poly_mul,
     poly_pow_mod,
-    poly_to_json,
     poly_trim,
     power_residue,
     primitive_nth_root,
@@ -363,27 +361,3 @@ class TestDiscriminant:
             assert lhs == rhs
             done += 1
 
-
-class TestSerialization:
-    def test_fp_roundtrip(self):
-        d = poly_to_json([5, 0, 0, 1], "fp")
-        assert d == {"domain": "fp", "coeffs": [5, 0, 0, 1]}
-        assert poly_from_json(d) == ([5, 0, 0, 1], "fp")
-
-    def test_int_roundtrip(self):
-        d = poly_to_json([-248832, 1], "int")
-        assert poly_from_json(d) == ([-248832, 1], "int")
-
-    def test_ext_roundtrip(self):
-        coeffs = [(1, 2, 3), (0, 0, 0)]
-        d = poly_to_json(coeffs, "ext")
-        assert d["coeffs"] == [[1, 2, 3], [0, 0, 0]]
-        assert poly_from_json(d) == (coeffs, "ext")
-
-    def test_bad_domain(self):
-        with pytest.raises(ValueError):
-            poly_to_json([1], "rational")
-        with pytest.raises(ValueError):
-            poly_from_json({"domain": "x", "coeffs": []})
-        with pytest.raises(ValueError):
-            poly_from_json({"coeffs": []})
