@@ -241,26 +241,29 @@ def cmd_census(args) -> int:
     if not 1 <= args.k <= G.n:
         return _usage_error(f"--k must be between 1 and {G.n}")
     bound = math.factorial(args.t - 1)
-    if args.sample:
-        planted = _planted_subsets(G, args)
-        mx, argmax = G.sample_max_common(
-            args.k, args.trials, args.seed, jobs=args.jobs, planted=planted
-        )
-        mode = {
-            "mode": "sample",
-            "trials": args.trials,
-            "seed": args.seed,
-            "planted": bool(planted),
-        }
-    else:
-        total = math.comb(G.n, args.k)
-        if total > args.budget:
-            return _usage_error(
-                f"exhaustive census needs C({G.n},{args.k}) = {total} subsets, "
-                f"over the budget of {args.budget}; rerun with --sample"
+    try:  # the bitset memory guard
+        if args.sample:
+            planted = _planted_subsets(G, args)
+            mx, argmax = G.sample_max_common(
+                args.k, args.trials, args.seed, jobs=args.jobs, planted=planted
             )
-        mx, argmax = G.census_max_common(args.k, budget=args.budget, jobs=args.jobs)
-        mode = {"mode": "exhaustive", "subsets": total}
+            mode = {
+                "mode": "sample",
+                "trials": args.trials,
+                "seed": args.seed,
+                "planted": bool(planted),
+            }
+        else:
+            total = math.comb(G.n, args.k)
+            if total > args.budget:
+                return _usage_error(
+                    f"exhaustive census needs C({G.n},{args.k}) = {total} subsets, "
+                    f"over the budget of {args.budget}; rerun with --sample"
+                )
+            mx, argmax = G.census_max_common(args.k, budget=args.budget, jobs=args.jobs)
+            mode = {"mode": "exhaustive", "subsets": total}
+    except ValueError as exc:
+        return _usage_error(str(exc))
     bound_applies = args.k == args.t
     within = mx <= bound
     result = {
@@ -324,8 +327,7 @@ def _schema_check_graph_witness(data: dict) -> tuple[list[Vertex], list[Vertex]]
     return sides[0], sides[1]
 
 
-def _verify_graph_witness(data: dict) -> tuple[list[str], bool]:
-    L, R = _schema_check_graph_witness(data)
+def _verify_graph_witness(data: dict, L, R) -> tuple[list[str], bool]:
     G = make_graph(data["p"], data["t"], list(data["modulus"]))
 
     # the closed-form identity layer only makes sense for the canonical
@@ -364,8 +366,8 @@ def _verify_graph_witness(data: dict) -> tuple[list[str], bool]:
     return lines, rep.passed
 
 
-def _verify_general_witness_data(data: dict) -> tuple[list[str], bool]:
-    w = general.general_witness_from_json(data)
+def _verify_general_witness_data(data: dict, A, B) -> tuple[list[str], bool]:
+    w = general._witness_from_sides(data, A, B)
     report = general.verify_general_witness(w)
     kind = f"general {data['t'] - 1}x{data['m']}"
     return [f"witness kind: {kind}"] + _check_lines(report), report.passed
@@ -387,10 +389,10 @@ def cmd_verify(args) -> int:
     graph_keys = {"p", "t", "modulus", "L", "R", "verified"}
     try:
         if general_keys <= set(data):
-            general.general_schema_check(data)
+            sides = general.general_schema_check(data)
             checker = _verify_general_witness_data
         elif graph_keys <= set(data):
-            _schema_check_graph_witness(data)
+            sides = _schema_check_graph_witness(data)
             checker = _verify_graph_witness
         else:
             return _usage_error(
@@ -401,7 +403,7 @@ def cmd_verify(args) -> int:
 
     # schema is sound; everything after this point is mathematics
     try:
-        lines, passed = checker(data)
+        lines, passed = checker(data, *sides)
     except (ValueError, AssertionError) as exc:
         print(f"witness invalid: {exc}")
         print("result: FAIL")

@@ -50,14 +50,6 @@ class ExtField:
 
     # -- construction -----------------------------------------------------
 
-    def element(self, coeffs) -> ExtElement:
-        """Normalize an iterable of ints to a valid element (reduce mod p, pad)."""
-        cs = [int(c) % self.p for c in coeffs]
-        if len(cs) > self.k:
-            raise ValueError(f"too many coefficients for degree-{self.k} extension")
-        cs.extend([0] * (self.k - len(cs)))
-        return tuple(cs)
-
     def from_base(self, c: int) -> ExtElement:
         return (c % self.p,) + (0,) * (self.k - 1)
 
@@ -219,14 +211,6 @@ class ExtField:
             raise ValueError(f"field of order {self.order()} is too large to enumerate")
         for n in range(self.order()):
             yield self.element_from_index(n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtField):
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, k={self.k}, modulus={list(self.modulus)})"

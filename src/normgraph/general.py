@@ -25,7 +25,6 @@ from .polys import (
     find_root_in_ext,
     is_irreducible,
     poly_eval,
-    poly_gcd,
     power_residue,
     primitive_nth_root,
     roots_in_base,
@@ -198,15 +197,6 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
     )
 
 
-def coprime_shifted_pair(params: GeneralParams, i: int, j: int) -> bool:
-    """The shifted polynomials for distinct thetas differ by a nonzero
-    constant, so they must be coprime; exposed for the invariant suite."""
-    t, p, r = params.t, params.p, params.r
-    a = shifted_poly(t, params.thetas[i], r, p)
-    b = shifted_poly(t, params.thetas[j], r, p)
-    return poly_gcd(a, b, p) == [1]
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -253,7 +243,11 @@ def general_witness_from_json(data: dict) -> GeneralWitness:
     """Rebuild a witness from its JSON form.  Schema problems raise from
     general_schema_check; mathematical problems (reducible modulus and the
     like) surface from the field construction."""
-    A, B = general_schema_check(data)
+    return _witness_from_sides(data, *general_schema_check(data))
+
+
+def _witness_from_sides(data: dict, A: list[Vertex], B: list[Vertex]) -> GeneralWitness:
+    # data has passed general_schema_check, which parsed A and B
     params = GeneralParams(
         t=data["t"],
         m=data["m"],

@@ -23,6 +23,10 @@ ENUM_LIMIT = 2**22
 
 CENSUS_BUDGET = 10**7
 
+# a census holds n bitsets of ceil(n/8) bytes; every n above ENUM_LIMIT
+# is over this too
+CENSUS_MEMORY = 2**30
+
 MAX_COMMON_QUERY = 8
 
 
@@ -116,7 +120,6 @@ class NormGraph:
         self.n = self.qprime * (p - 1)
         self._elements: list[ExtElement] | None = None
         self._norms: list[int] | None = None
-        self._bitset_cache: dict[int, int] = {}
 
     # -- vertex indexing -------------------------------------------------
 
@@ -139,10 +142,6 @@ class NormGraph:
             raise ValueError(f"vertex id {vid} out of range [0, {self.n})")
         idx, rem = divmod(vid, self.p - 1)
         return Vertex(self.field.element_from_index(idx), rem + 1)
-
-    def vertices(self):
-        for vid in range(self.n):
-            yield self.vertex_from_id(vid)
 
     # -- adjacency --------------------------------------------------------
 
@@ -174,9 +173,7 @@ class NormGraph:
             self._norms = [self.field.norm_conj(e) for e in self._element_list()]
         return self._norms
 
-    def _bitset_for(self, vid: int, cache: bool = True) -> int:
-        if vid in self._bitset_cache:
-            return self._bitset_cache[vid]
+    def _bitset_for(self, vid: int) -> int:
         p = self.p
         u = self.vertex_from_id(vid)
         els = self._element_list()
@@ -192,22 +189,16 @@ class NormGraph:
             b = nv * inv_a % p
             bits |= 1 << (j * (p - 1) + (b - 1))
         bits &= ~(1 << vid)  # simple graph: drop the loop if present
-        if cache:
-            self._bitset_cache[vid] = bits
         return bits
 
     def _all_bitsets(self) -> list[int]:
+        need = self.n * -(-self.n // 8)
+        if need > CENSUS_MEMORY:
+            raise ValueError(
+                f"census bitsets for {self.n} vertices need {need} bytes, "
+                f"above the memory guard {CENSUS_MEMORY}"
+            )
         return [self._bitset_for(vid) for vid in range(self.n)]
-
-    def neighbors(self, u: Vertex) -> list[Vertex]:
-        """All neighbors, ascending by vertex id."""
-        self.check_vertex(u)
-        bits = self._bitset_for(self.vertex_id(u), cache=False)
-        return [self.vertex_from_id(i) for i in _iter_bits(bits)]
-
-    def degree(self, u: Vertex) -> int:
-        self.check_vertex(u)
-        return self._bitset_for(self.vertex_id(u), cache=False).bit_count()
 
     def common_neighbors(self, S: list[Vertex]) -> list[Vertex]:
         """Vertices outside S adjacent to every member of S, ascending."""
@@ -216,34 +207,12 @@ class NormGraph:
         ids = [self.vertex_id(self.check_vertex(s)) for s in S]
         if len(set(ids)) != len(ids):
             raise ValueError("query vertices must be distinct")
-        if self.n <= ENUM_LIMIT:
-            inter = self._bitset_for(ids[0], cache=False)
-            for vid in ids[1:]:
-                inter &= self._bitset_for(vid, cache=False)
-            for vid in ids:
-                inter &= ~(1 << vid)
-            return [self.vertex_from_id(i) for i in _iter_bits(inter)]
-        return self._common_by_scan(S, set(ids))
-
-    def _common_by_scan(self, S: list[Vertex], id_set: set[int]) -> list[Vertex]:
-        # no bitsets: walk candidate betas and solve the |S| norm equations
-        p = self.p
-        norm = self.field.norm_conj
-        add = self.field.add
-        first = S[0]
-        inv_a = fp_inv(first.a, p)
-        out = []
-        for j in range(self.qprime):
-            beta = self.field.element_from_index(j)
-            nv = norm(add(first.alpha, beta))
-            if nv == 0:
-                continue
-            b = nv * inv_a % p
-            if j * (p - 1) + (b - 1) in id_set:
-                continue
-            if all(norm(add(s.alpha, beta)) == s.a * b % p for s in S[1:]):
-                out.append(Vertex(beta, b))
-        return out
+        inter = self._bitset_for(ids[0])
+        for vid in ids[1:]:
+            inter &= self._bitset_for(vid)
+        for vid in ids:
+            inter &= ~(1 << vid)
+        return [self.vertex_from_id(i) for i in _iter_bits(inter)]
 
     # -- biclique verification ---------------------------------------------
 
@@ -283,12 +252,8 @@ class NormGraph:
             (bitsets, k, start, count)
             for start, count in chunk_ranges(total, jobs)
         ]
-        results = run_tasks(_census_worker, tasks, jobs)
-        best, best_subset = -1, ()
-        for size, subset in results:  # chunk order = colex order, first max wins
-            if size > best:
-                best, best_subset = size, subset
-        return best, best_subset
+        # chunk order is colex order, and max keeps the first maximum
+        return max(run_tasks(_census_worker, tasks, jobs), key=lambda r: r[0])
 
     def sample_max_common(
         self,
@@ -307,6 +272,7 @@ class NormGraph:
             raise ValueError(f"subset size {k} out of range")
         import random
 
+        bitsets = self._all_bitsets()
         rng = random.Random(seed)
         subsets = [tuple(sorted(rng.sample(range(self.n), k))) for _ in range(trials)]
         for extra in planted:
@@ -314,14 +280,8 @@ class NormGraph:
             if len(ids) != k or len(set(ids)) != k:
                 raise ValueError(f"planted subset {extra!r} is not a {k}-subset")
             subsets.append(ids)
-        bitsets = self._all_bitsets()
         tasks = [(bitsets, chunk) for chunk in chunk_list(subsets, jobs)]
-        results = run_tasks(_sample_worker, tasks, jobs)
-        best, best_subset = -1, ()
-        for size, subset in results:
-            if size > best:
-                best, best_subset = size, subset
-        return best, best_subset
+        return max(run_tasks(_sample_worker, tasks, jobs), key=lambda r: r[0])
 
     # -- export -----------------------------------------------------------
 
@@ -329,17 +289,9 @@ class NormGraph:
         """Edges as 'id_u id_v' text lines, ascending, loops omitted."""
         self._require_enumerable()
         for uid in range(self.n):
-            bits = self._bitset_for(uid, cache=False) >> (uid + 1)
+            bits = self._bitset_for(uid) >> (uid + 1)
             for off in _iter_bits(bits):
                 yield f"{uid} {uid + 1 + off}"
-
-    def edge_count(self) -> int:
-        self._require_enumerable()
-        total = 0
-        for uid in range(self.n):
-            total += self._bitset_for(uid, cache=False).bit_count()
-        assert total % 2 == 0
-        return total // 2
 
 
 def _iter_bits(bits: int):

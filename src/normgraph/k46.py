@@ -49,10 +49,6 @@ class QualifyingCertificate:
     p: int
     zeta: int  # smallest primitive cube root of unity
     cubic_roots: tuple[int, int, int]  # roots of the witness cubic, ascending
-    x3_2_irreducible: bool
-    x3_3_irreducible: bool
-    coprime_to_product_disc: bool
-    coprime_to_cubic_disc: bool
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,6 @@ def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
         p=p,
         zeta=zeta,
         cubic_roots=tuple(sorted(roots)),
-        x3_2_irreducible=True,
-        x3_3_irreducible=True,
-        coprime_to_product_disc=True,
-        coprime_to_cubic_disc=True,
     )
 
 

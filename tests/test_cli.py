@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from normgraph import cli, general
 from normgraph.graph import make_graph, witness_to_json
 
 
@@ -241,6 +242,17 @@ class TestCensus:
         assert r.returncode == 2
         assert r.stderr == f"error: p must be prime, got {p}\n"
 
+    @pytest.mark.parametrize(
+        "flags", [["--sample", "--trials", 1], ["--budget", 10**8]]
+    )
+    def test_over_memory_guard(self, tmp_path, flags):
+        # P(3,16) has 28697814 vertices, above both guards
+        r = run("census", "--p", 3, "--t", 16, "--k", 1, *flags, cache=tmp_path)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: census bitsets for 28697814 vertices")
+        assert r.stderr.count("\n") == 1
+
     def test_k_not_t_skips_bound(self, tmp_path):
         r = run("census", "--p", 3, "--t", 4, "--k", 2, cache=tmp_path)
         assert r.returncode == 0
@@ -362,12 +374,30 @@ class TestVerify:
     def test_plain_graph_biclique(self, tmp_path):
         G = make_graph(3, 3)
         u = G.vertex_from_id(0)
-        v = G.neighbors(u)[0]
+        v = G.common_neighbors([u])[0]
         out = tmp_path / "pair.json"
         out.write_text(json.dumps(witness_to_json(G, [u], [v], True)))
         r = run("verify", out, cache=tmp_path)
         assert r.returncode == 0
         assert "graph biclique" in r.stdout
+
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["witness46"], cli, "_schema_check_graph_witness"),
+            (["witness-general", "--t", "4", "--m", "2", "--limit", "20"],
+             general, "general_schema_check"),
+        ],
+    )
+    def test_schema_checked_once(self, tmp_path, monkeypatch, capsys, argv, owner, name):
+        out = tmp_path / "w.json"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        calls = []
+        check = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda data: calls.append(data) or check(data))
+        assert cli.main(["verify", str(out)]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_overlapping_sides_fail(self, tmp_path):
         G = make_graph(3, 3)

@@ -127,12 +127,6 @@ class TestRingOps:
         assert f.sub(f.add(a, b), b) == a
         assert f.add(a, f.neg(a)) == f.zero
 
-    def test_element_normalization(self):
-        f = f7_cubic()
-        assert f.element([10, -1]) == (3, 6, 0)
-        with pytest.raises(ValueError):
-            f.element([1, 2, 3, 4])
-
 
 class TestFrobenius:
     def test_frobenius_of_generator(self):

@@ -8,7 +8,6 @@ from normgraph.ff import ExtField
 from normgraph.general import (
     GeneralParams,
     build_general_witness,
-    coprime_shifted_pair,
     find_parameters,
     general_witness_from_json,
     general_witness_to_json,
@@ -16,7 +15,7 @@ from normgraph.general import (
     verify_general_witness,
 )
 from normgraph.graph import Vertex
-from normgraph.polys import eval_in_ext, poly_eval
+from normgraph.polys import eval_in_ext, poly_eval, poly_gcd
 
 
 def pairs(results):
@@ -158,7 +157,8 @@ class TestVerifyWitness:
 
     def test_shifted_polynomials_pairwise_coprime(self):
         for g in find_parameters(4, 2, 50):
-            assert coprime_shifted_pair(g, 0, 1)
+            a, b = (shifted_poly(4, th, g.r, g.p) for th in g.thetas)
+            assert poly_gcd(a, b, g.p) == [1]
 
     def test_norm_matches_evaluation_at_random_points(self):
         w = self.build_17_9()

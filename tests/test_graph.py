@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from normgraph import graph
 from normgraph.graph import (
     NormGraph,
     Vertex,
@@ -17,6 +18,14 @@ from normgraph.graph import (
 
 def p74():
     return make_graph(7, 4, [-2, 0, 0, 1])
+
+
+def vertices(G):
+    return map(G.vertex_from_id, range(G.n))
+
+
+def neighbors(G, u):
+    return G.common_neighbors([u])
 
 
 class TestConstruction:
@@ -41,7 +50,7 @@ class TestConstruction:
     def test_vertex_id_bijection(self):
         G = make_graph(3, 4)
         seen = set()
-        for v in G.vertices():
+        for v in vertices(G):
             vid = G.vertex_id(v)
             assert G.vertex_from_id(vid) == v
             seen.add(vid)
@@ -101,21 +110,21 @@ class TestAdjacency:
 class TestNeighborhoods:
     def test_degree_range_p33(self):
         G = make_graph(3, 3)
-        degs = {G.degree(v) for v in G.vertices()}
+        degs = {len(neighbors(G, v)) for v in vertices(G)}
         assert degs <= {7, 8}  # p^(t-1) - 2 and - 1
 
     def test_degree_range_p34_and_p53(self):
         for G in (make_graph(3, 4), make_graph(5, 3)):
             lo = G.qprime - 2
-            for v in G.vertices():
-                nbrs = G.neighbors(v)
+            for v in vertices(G):
+                nbrs = neighbors(G, v)
                 assert len(nbrs) in (lo, lo + 1)
 
     def test_neighbors_sorted_and_adjacent(self):
         G = make_graph(3, 3)
         for vid in range(0, G.n, 5):
             u = G.vertex_from_id(vid)
-            nbrs = G.neighbors(u)
+            nbrs = neighbors(G, u)
             ids = [G.vertex_id(w) for w in nbrs]
             assert ids == sorted(ids)
             for w in nbrs:
@@ -127,14 +136,9 @@ class TestNeighborhoods:
         for vid in range(G.n):
             u = G.vertex_from_id(vid)
             expected = [
-                w for w in G.vertices() if w != u and G.adjacent(u, w)
+                w for w in vertices(G) if w != u and G.adjacent(u, w)
             ]
-            assert G.neighbors(u) == expected
-
-    def test_common_of_single_matches_neighbors(self):
-        G = make_graph(3, 4)
-        u = G.vertex_from_id(17)
-        assert G.common_neighbors([u]) == G.neighbors(u)
+            assert neighbors(G, u) == expected
 
     def test_common_neighbors_definition(self):
         G = make_graph(3, 4)
@@ -145,20 +149,11 @@ class TestNeighborhoods:
             got = G.common_neighbors(S)
             expected = [
                 w
-                for w in G.vertices()
+                for w in vertices(G)
                 if G.vertex_id(w) not in ids
                 and all(G.adjacent(w, s) for s in S)
             ]
             assert got == expected
-
-    def test_scan_path_matches_bitset_path(self):
-        G = make_graph(3, 4)
-        rng = random.Random(23)
-        for k in (1, 2, 4):
-            for _ in range(10):
-                ids = rng.sample(range(G.n), k)
-                S = [G.vertex_from_id(i) for i in ids]
-                assert G._common_by_scan(S, set(ids)) == G.common_neighbors(S)
 
     def test_query_size_limits(self):
         G = make_graph(3, 4)
@@ -174,7 +169,7 @@ class TestBiclique:
     def test_pass_by_construction(self):
         G = make_graph(3, 4)
         u = G.vertex_from_id(0)
-        nbrs = G.neighbors(u)[:3]
+        nbrs = neighbors(G, u)[:3]
         w = G.verify_biclique([u], nbrs)
         assert w.report.passed
         assert w.report.pairs_checked == 3
@@ -197,7 +192,7 @@ class TestBiclique:
     def test_fail_lists_offending_pairs(self):
         G = make_graph(3, 4)
         u = G.vertex_from_id(0)
-        nbr = G.neighbors(u)[0]
+        nbr = neighbors(G, u)[0]
         # bump the a-coordinate to break the norm equation
         bad = Vertex(nbr.alpha, nbr.a % (G.p - 1) + 1)
         w = G.verify_biclique([u], [bad])
@@ -232,6 +227,22 @@ class TestCensus:
         G = p74()
         with pytest.raises(ValueError):
             G.census_max_common(4)  # C(2058,4) is astronomically over budget
+
+    def test_memory_guard(self):
+        G = make_graph(13, 5)  # n = 342732: 14.7 GB of bitsets
+        with pytest.raises(ValueError, match="memory guard"):
+            G.census_max_common(1, budget=10**9)
+        with pytest.raises(ValueError, match="memory guard"):
+            G.sample_max_common(1, trials=1, seed=0)
+        assert G._elements is None and G._norms is None  # nothing was built
+
+    def test_memory_guard_boundary(self, monkeypatch):
+        G = make_graph(3, 3)  # n = 18: 18 bitsets of 3 bytes
+        monkeypatch.setattr(graph, "CENSUS_MEMORY", 54)
+        assert G.census_max_common(1)[0] == G.qprime - 1
+        monkeypatch.setattr(graph, "CENSUS_MEMORY", 53)
+        with pytest.raises(ValueError, match="memory guard"):
+            G.census_max_common(1)
 
     def test_sampled_census_bounds(self):
         G = make_graph(3, 4)
@@ -290,20 +301,31 @@ class TestColex:
         a = _census_worker((bitsets, 2, 0, 5))
         b = _census_worker((bitsets, 2, 5, 5))
         merged = a if a[0] >= b[0] else b
-        assert full[0] == merged[0]
+        assert full == merged
+
+    @pytest.mark.parametrize("p, t, k", [(3, 3, 2), (3, 3, 3), (5, 3, 2)])
+    def test_chunked_census_keeps_colex_first_argmax(self, monkeypatch, p, t, k):
+        G = make_graph(p, t)
+        serial = G.census_max_common(k)
+        # a serial map in place of the pool: the chunks, not the processes,
+        # decide the merge
+        monkeypatch.setattr(graph, "run_tasks", lambda fn, tasks, jobs: [fn(t) for t in tasks])
+        assert G.census_max_common(k, jobs=3) == serial
 
 
 class TestExport:
     def test_edge_count_is_half_degree_sum(self):
         for G in (make_graph(3, 3), make_graph(3, 4), make_graph(5, 3)):
-            deg_sum = sum(G.degree(v) for v in G.vertices())
-            assert G.edge_count() == deg_sum // 2
-            assert G.edge_count() >= G.n * (G.qprime - 2) // 2
+            deg_sum = sum(len(neighbors(G, v)) for v in vertices(G))
+            edges = len(list(G.edge_lines()))
+            assert 2 * edges == deg_sum
+            assert edges >= G.n * (G.qprime - 2) // 2
 
     def test_edge_lines_sorted_and_complete(self):
         G = make_graph(3, 3)
         lines = list(G.edge_lines())
-        assert len(lines) == G.edge_count()
+        deg_sum = sum(len(neighbors(G, v)) for v in vertices(G))
+        assert 2 * len(lines) == deg_sum
         pairs = [tuple(map(int, ln.split())) for ln in lines]
         assert pairs == sorted(pairs)
         for u, v in pairs[:40]:
@@ -316,6 +338,8 @@ class TestExport:
         assert big.n == 101**3 * 100
         with pytest.raises(ValueError):
             list(big.edge_lines())
+        with pytest.raises(ValueError):
+            big.common_neighbors([big.vertex_from_id(0)])
 
 
 class TestWitnessJson:

@@ -181,11 +181,7 @@ class TestBuild:
 
     def test_degeneracy_guard_fires_on_fake_certificate(self):
         # duplicate cubic roots force a vertex collision
-        fake = QualifyingCertificate(
-            p=7, zeta=2, cubic_roots=(0, 0, 5),
-            x3_2_irreducible=True, x3_3_irreducible=True,
-            coprime_to_product_disc=True, coprime_to_cubic_disc=True,
-        )
+        fake = QualifyingCertificate(p=7, zeta=2, cubic_roots=(0, 0, 5))
         with pytest.raises(DegeneracyError):
             build_witness(fake)
 

@@ -20,7 +20,7 @@ def load_layers(monkeypatch):
     return module
 
 
-def test_tracer_sees_every_layer_and_restores_it(monkeypatch, capsys):
+def test_tracer_sees_every_layer_and_restores_it(monkeypatch, capsys, tmp_path):
     layers = load_layers(monkeypatch)
     tracer = layers.Tracer(
         {"cli": cli, "ff": ff, "general": general, "graph": graph, "k46": k46,
@@ -32,6 +32,12 @@ def test_tracer_sees_every_layer_and_restores_it(monkeypatch, capsys):
         for owner, attr, orig in saved:
             assert getattr(owner, attr) is not orig, f"{attr} was not rebound"
         assert cli.main(["witness46"]) == 0
+        assert cli.main(["census", "--p", "3", "--t", "3", "--k", "2"]) == 0
+        assert cli.main(
+            ["census", "--p", "3", "--t", "3", "--k", "1", "--sample", "--trials", "50"]
+        ) == 0
+        edges = tmp_path / "edges.txt"
+        assert cli.main(["export", "--p", "3", "--t", "3", "--output", str(edges)]) == 0
     finally:
         tracer.uninstall()
     assert "result: PASS" in capsys.readouterr().out
@@ -39,7 +45,8 @@ def test_tracer_sees_every_layer_and_restores_it(monkeypatch, capsys):
     assert names >= {
         "k46.certify", "k46.verdict", "k46.splitting", "k46.residue",
         "polys.roots_in_base", "k46.build", "graph.make", "k46.verify_witness",
-        "graph.biclique", "ff.norm",
+        "graph.biclique", "ff.norm", "graph.census", "graph.scan", "graph.export",
     }
+    assert sum(span[0] == "graph.census" for span in tracer.rep.spans) == 2
     for owner, attr, orig in saved:
         assert getattr(owner, attr) is orig, f"{attr} was not restored"
