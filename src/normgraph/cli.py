@@ -18,19 +18,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import general, k46
-from .graph import (
-    ENUM_LIMIT,
-    CENSUS_BUDGET,
-    NormGraph,
-    Vertex,
-    check_vertices,
-    is_json_int,
-    make_graph,
-    witness_to_json,
-)
+from . import general, graph, k46
+from .graph import CENSUS_BUDGET, NormGraph, make_graph, witness_to_json
 from .polys import find_root_in_ext
-from .primes import primes_up_to
+from .primes import SIEVE_LIMIT, primes_up_to
 
 
 # -- cache ---------------------------------------------------------------------
@@ -167,7 +158,10 @@ def _check_lines(report) -> list[str]:
 
 def cmd_witness46(args) -> int:
     p = 7 if args.p is None else args.p
-    cert = k46.is_qualifying_prime(p)
+    try:
+        cert = k46.is_qualifying_prime(p)
+    except ValueError as exc:  # p above the root-scan guard
+        return _usage_error(str(exc))
     if isinstance(cert, k46.Rejection):
         print(f"not qualifying: {cert.reason}")
         return 1
@@ -213,22 +207,15 @@ def _planted_subsets(G: NormGraph, args) -> tuple[tuple[int, ...], ...]:
     """The canonical witness left side, re-encoded in the census field.
 
     The census graph may use a different modulus than the witness pipeline,
-    so the four elements {0, 1, 2, theta+1} are rebuilt around a cube root
-    of 2 extracted deterministically inside the census field itself."""
+    so the left side is rebuilt around a cube root of 2 extracted
+    deterministically inside the census field itself."""
     if args.t != 4 or args.k != 4 or not args.sample:
         return ()
     ok, _ = k46.qualifying_verdict(args.p)
     if not ok:
         return ()
-    F = G.field
-    theta = find_root_in_ext([(-2) % args.p, 0, 0, 1], F, seed=0)
-    vertices = [
-        Vertex(F.zero, 3),
-        Vertex(F.from_base(1), 4),
-        Vertex(F.from_base(2), 5),
-        Vertex(F.add(theta, F.from_base(1)), 6),
-    ]
-    return (tuple(G.vertex_id(v) for v in vertices),)
+    theta = find_root_in_ext(k46.X3_MINUS_2, G.field, seed=0)
+    return (tuple(G.vertex_id(v) for v in k46.left_side(G.field, theta)),)
 
 
 def cmd_census(args) -> int:
@@ -236,12 +223,6 @@ def cmd_census(args) -> int:
         return _usage_error("--trials must be >= 1")
     try:
         G = make_graph(args.p, args.t)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if not 1 <= args.k <= G.n:
-        return _usage_error(f"--k must be between 1 and {G.n}")
-    bound = math.factorial(args.t - 1)
-    try:  # the bitset memory guard
         if args.sample:
             planted = _planted_subsets(G, args)
             mx, argmax = G.sample_max_common(
@@ -254,16 +235,11 @@ def cmd_census(args) -> int:
                 "planted": bool(planted),
             }
         else:
-            total = math.comb(G.n, args.k)
-            if total > args.budget:
-                return _usage_error(
-                    f"exhaustive census needs C({G.n},{args.k}) = {total} subsets, "
-                    f"over the budget of {args.budget}; rerun with --sample"
-                )
             mx, argmax = G.census_max_common(args.k, budget=args.budget, jobs=args.jobs)
-            mode = {"mode": "exhaustive", "subsets": total}
+            mode = {"mode": "exhaustive", "subsets": math.comb(G.n, args.k)}
     except ValueError as exc:
         return _usage_error(str(exc))
+    bound = math.factorial(args.t - 1)
     bound_applies = args.k == args.t
     within = mx <= bound
     result = {
@@ -305,47 +281,12 @@ def cmd_census(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _schema_check_graph_witness(data: dict) -> tuple[list[Vertex], list[Vertex]]:
-    """Shape-only validation; returns the L and R vertices and raises
-    ValueError on malformed input."""
-    for key in ("p", "t", "modulus", "L", "R", "verified"):
-        if key not in data:
-            raise ValueError(f"witness JSON is missing {key!r}")
-    p, t = data["p"], data["t"]
-    if not is_json_int(p) or not is_json_int(t) or p < 2 or t < 3:
-        raise ValueError("p and t must be integers with p >= 2, t >= 3")
-    mod = data["modulus"]
-    if not isinstance(mod, list) or len(mod) != t or not all(
-        is_json_int(c) for c in mod
-    ):
-        raise ValueError(f"modulus must list {t} integer coefficients")
-    sides = []
-    for part in ("L", "R"):
-        if not isinstance(data[part], list) or not data[part]:
-            raise ValueError(f"{part} must be a nonempty vertex list")
-        sides.append(check_vertices(data[part], part, p, t - 1))
-    return sides[0], sides[1]
-
-
 def _verify_graph_witness(data: dict, L, R) -> tuple[list[str], bool]:
     G = make_graph(data["p"], data["t"], list(data["modulus"]))
-
-    # the closed-form identity layer only makes sense for the canonical
-    # witness over x^3 - 2; anything else gets the graph layer alone
-    if (
-        data["t"] == 4
-        and len(L) == 4
-        and len(R) == 6
-        and list(G.field.modulus) == [(-2) % G.p, 0, 0, 1]
-    ):
-        cert = k46.is_qualifying_prime(G.p)
-        if not isinstance(cert, k46.Rejection):
-            canonical = k46.build_witness(cert)
-            if set(canonical.A) == set(L):
-                report = k46.verify_witness(
-                    k46.WitnessK46(certificate=cert, field=G.field, A=L, B=R)
-                )
-                return ["witness kind: canonical 4x6"] + _check_lines(report), report.passed
+    canonical = k46.canonical_witness(G, L, R)
+    if canonical is not None:
+        report = k46.verify_witness(canonical)
+        return ["witness kind: canonical 4x6"] + _check_lines(report), report.passed
 
     biclique = G.verify_biclique(L, R)
     rep = biclique.report
@@ -385,14 +326,12 @@ def cmd_verify(args) -> int:
     if not isinstance(data, dict):
         return _usage_error("witness JSON must be an object")
 
-    general_keys = {"t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified"}
-    graph_keys = {"p", "t", "modulus", "L", "R", "verified"}
     try:
-        if general_keys <= set(data):
+        if data.keys() >= set(general.WITNESS_KEYS):
             sides = general.general_schema_check(data)
             checker = _verify_general_witness_data
-        elif graph_keys <= set(data):
-            sides = _schema_check_graph_witness(data)
+        elif data.keys() >= set(graph.WITNESS_KEYS):
+            sides = graph.witness_schema_check(data)
             checker = _verify_graph_witness
         else:
             return _usage_error(
@@ -418,22 +357,19 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     try:
         G = make_graph(args.p, args.t)
+        lines = G.edge_lines()  # raises on a graph over the size guard
     except ValueError as exc:
         return _usage_error(str(exc))
-    if G.n > ENUM_LIMIT:
-        return _usage_error(
-            f"graph has n = {G.n} vertices, over the export guard of {ENUM_LIMIT}"
-        )
     count = 0
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            for line in G.edge_lines():
+            for line in lines:
                 fh.write(line + "\n")
                 count += 1
         print(f"vertices: {G.n}")
         print(f"edges: {count}")
     else:
-        for line in G.edge_lines():
+        for line in lines:
             print(line)
             count += 1
         _note(f"vertices: {G.n}")
@@ -574,6 +510,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "limit", 0) > SIEVE_LIMIT:
+        return _usage_error(f"--limit must be <= {SIEVE_LIMIT}, got {args.limit}")
     return args.fn(args)
 
 

@@ -191,7 +191,6 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
                 )
     return WitnessReport(
         biclique=biclique,
-        adjacency_checked=len(w.A) * len(w.B),
         identity_checked=(t - 1) * m,
         identity_failures=identity_failures,
     )
@@ -200,24 +199,23 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
 # -- serialization ------------------------------------------------------------
 
 
+# the general witness's top-level keys, in the order general_witness_to_json
+# writes them
+WITNESS_KEYS = ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified")
+
+
 def general_witness_to_json(w: GeneralWitness, verified: bool) -> dict:
-    return {
-        "t": w.params.t,
-        "m": w.params.m,
-        "p": w.params.p,
-        "r": w.params.r,
-        "thetas": list(w.params.thetas),
-        "zeta": w.params.zeta,
-        "A": [vertex_to_obj(v) for v in w.A],
-        "B": [vertex_to_obj(v) for v in w.B],
-        "verified": bool(verified),
-    }
+    params = w.params
+    sides = ([vertex_to_obj(v) for v in side] for side in (w.A, w.B))
+    values = (params.t, params.m, params.p, params.r, list(params.thetas),
+              params.zeta, *sides, bool(verified))
+    return dict(zip(WITNESS_KEYS, values))
 
 
 def general_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
     """Shape-only validation; returns the A and B vertices and raises
     ValueError on malformed input."""
-    for key in ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified"):
+    for key in WITNESS_KEYS:
         if key not in data:
             raise ValueError(f"general witness JSON is missing {key!r}")
     for key in ("t", "m", "p", "r", "zeta"):

@@ -66,9 +66,12 @@ class WitnessReport:
     its closed-form identities."""
 
     biclique: BicliqueWitness
-    adjacency_checked: int
     identity_checked: int
     identity_failures: list[str]
+
+    @property
+    def adjacency_checked(self) -> int:
+        return self.biclique.report.pairs_checked
 
     @property
     def adjacency_failures(self) -> list:
@@ -233,6 +236,10 @@ class NormGraph:
 
     # -- censuses ------------------------------------------------------------
 
+    def _require_subset_size(self, k: int) -> None:
+        if not 1 <= k <= self.n:
+            raise ValueError(f"k must be between 1 and {self.n}, got {k}")
+
     def census_max_common(
         self, k: int, budget: int = CENSUS_BUDGET, jobs: int = 1
     ) -> tuple[int, tuple[int, ...]]:
@@ -240,12 +247,12 @@ class NormGraph:
 
         Returns (max size, the colex-first maximizing subset as vertex ids).
         Refuses when C(n, k) exceeds the budget."""
-        if k < 1 or k > self.n:
-            raise ValueError(f"subset size {k} out of range")
+        self._require_subset_size(k)
         total = math.comb(self.n, k)
         if total > budget:
             raise ValueError(
-                f"census over C({self.n},{k}) = {total} subsets exceeds budget {budget}"
+                f"exhaustive census needs C({self.n},{k}) = {total} subsets, "
+                f"over the budget of {budget}; rerun with --sample"
             )
         bitsets = self._all_bitsets()
         tasks = [
@@ -268,8 +275,7 @@ class NormGraph:
         the result is identical for every worker count."""
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        if k < 1 or k > self.n:
-            raise ValueError(f"subset size {k} out of range")
+        self._require_subset_size(k)
         import random
 
         bitsets = self._all_bitsets()
@@ -286,12 +292,14 @@ class NormGraph:
     # -- export -----------------------------------------------------------
 
     def edge_lines(self):
-        """Edges as 'id_u id_v' text lines, ascending, loops omitted."""
+        """Edges as 'id_u id_v' text lines, ascending, loops omitted.  The
+        size guard raises here, before the caller consumes a line."""
         self._require_enumerable()
-        for uid in range(self.n):
-            bits = self._bitset_for(uid) >> (uid + 1)
-            for off in _iter_bits(bits):
-                yield f"{uid} {uid + 1 + off}"
+        return (
+            f"{uid} {uid + 1 + off}"
+            for uid in range(self.n)
+            for off in _iter_bits(self._bitset_for(uid) >> (uid + 1))
+        )
 
 
 def _iter_bits(bits: int):
@@ -381,12 +389,33 @@ def check_vertices(items, part: str, p: int, k: int) -> list[Vertex]:
     return out
 
 
+# the graph witness's top-level keys, in the order witness_to_json writes them
+WITNESS_KEYS = ("p", "t", "modulus", "L", "R", "verified")
+
+
 def witness_to_json(G: NormGraph, L, R, verified: bool) -> dict:
-    return {
-        "p": G.p,
-        "t": G.t,
-        "modulus": list(G.field.modulus),
-        "L": [vertex_to_obj(v) for v in L],
-        "R": [vertex_to_obj(v) for v in R],
-        "verified": bool(verified),
-    }
+    sides = ([vertex_to_obj(v) for v in side] for side in (L, R))
+    values = (G.p, G.t, list(G.field.modulus), *sides, bool(verified))
+    return dict(zip(WITNESS_KEYS, values))
+
+
+def witness_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
+    """Shape-only validation of witness_to_json's output; returns the L and
+    R vertices and raises ValueError on malformed input."""
+    for key in WITNESS_KEYS:
+        if key not in data:
+            raise ValueError(f"witness JSON is missing {key!r}")
+    p, t = data["p"], data["t"]
+    if not is_json_int(p) or not is_json_int(t) or p < 2 or t < 3:
+        raise ValueError("p and t must be integers with p >= 2, t >= 3")
+    mod = data["modulus"]
+    if not isinstance(mod, list) or len(mod) != t or not all(
+        is_json_int(c) for c in mod
+    ):
+        raise ValueError(f"modulus must list {t} integer coefficients")
+    sides = []
+    for part in ("L", "R"):
+        if not isinstance(data[part], list) or not data[part]:
+            raise ValueError(f"{part} must be a nonempty vertex list")
+        sides.append(check_vertices(data[part], part, p, t - 1))
+    return sides[0], sides[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ff import ExtField, fp_inv
+from .ff import ExtElement, ExtField, fp_inv
 from .graph import NormGraph, Vertex, WitnessReport, make_graph
 from .parallel import chunk_list, run_tasks
 from .polys import (
@@ -236,6 +236,14 @@ class WitnessK46:
     B: list[Vertex]
 
 
+def left_side(field: ExtField, theta: ExtElement) -> list[Vertex]:
+    """The witness's left side {0, 1, 2, theta + 1} with second coordinates
+    3, 4, 5, 6, theta a cube root of 2 in `field`."""
+    alphas = (field.zero, field.from_base(1), field.from_base(2),
+              field.add(theta, field.one))
+    return [Vertex(alpha, a) for alpha, a in zip(alphas, range(3, 7))]
+
+
 def build_witness(
     cert: QualifyingCertificate, root_order: tuple[int, int, int] = (0, 1, 2)
 ) -> WitnessK46:
@@ -253,12 +261,7 @@ def build_witness(
     field = ExtField(p, 3, X3_MINUS_2)
     inv2 = fp_inv(2, p)
     inv4 = fp_inv(4, p)
-    A = [
-        Vertex((0, 0, 0), 3 % p),
-        Vertex((1, 0, 0), 4 % p),
-        Vertex((2, 0, 0), 5 % p),
-        Vertex((1, 1, 0), 6 % p),
-    ]
+    A = left_side(field, field.gen)
     B = []
     zk = 1
     for _ in range(3):
@@ -330,7 +333,6 @@ def verify_witness(w: WitnessK46) -> WitnessReport:
                 )
     return WitnessReport(
         biclique=biclique,
-        adjacency_checked=len(w.A) * len(w.B),
         identity_checked=4 * len(w.B),
         identity_failures=identity_failures,
     )
@@ -338,3 +340,22 @@ def verify_witness(w: WitnessK46) -> WitnessReport:
 
 def witness_graph(w: WitnessK46) -> NormGraph:
     return make_graph(w.certificate.p, 4, X3_MINUS_2)
+
+
+def canonical_witness(G: NormGraph, L: list[Vertex], R: list[Vertex]) -> WitnessK46 | None:
+    """L and R as the canonical witness when they are one: a 4x6 pair in
+    P(p,4) over x^3 - 2, p qualifying, L the canonical left side.  Else
+    None, and only the graph layer applies."""
+    F = G.field
+    if (
+        G.t != 4
+        or len(L) != 4
+        or len(R) != 6
+        or F.modulus != tuple(c % G.p for c in X3_MINUS_2)
+        or set(L) != set(left_side(F, F.gen))
+    ):
+        return None
+    cert = is_qualifying_prime(G.p)
+    if isinstance(cert, Rejection):
+        return None
+    return WitnessK46(certificate=cert, field=F, A=L, B=R)

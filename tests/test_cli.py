@@ -2,16 +2,17 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from normgraph import cli, general
+from normgraph import cli, general, graph
 from normgraph.graph import make_graph, witness_to_json
 
 
-def run(*argv, cache=None):
+def run(*argv, cache=None, **kwargs):
     env = os.environ.copy()
     if cache is not None:
         env["NORMGRAPH_CACHE"] = str(cache)
@@ -20,7 +21,20 @@ def run(*argv, cache=None):
         capture_output=True,
         text=True,
         env=env,
+        **kwargs,
     )
+
+
+def cap_address_space():
+    # a run that ignores the --limit bound fails on this cap instead of
+    # trying to allocate limit + 1 bytes
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def assert_usage_error(r, message):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 class TestUsage:
@@ -125,6 +139,12 @@ class TestSieve:
             assert r.stdout == ""
             assert r.stderr == f"error: --cache-dir {cache_dir} is not a writable directory\n"
 
+    def test_limit_above_bound(self, tmp_path):
+        r = run("sieve", "--limit", 10**11, "--no-cache", cache=tmp_path,
+                preexec_fn=cap_address_space)
+        assert_usage_error(r, f"--limit must be <= {10**7}, got {10**11}")
+        assert list(tmp_path.glob("*")) == []
+
     def test_no_cache_writes_nothing(self, tmp_path):
         run("sieve", "--limit", 100, "--no-cache", cache=tmp_path)
         assert list(tmp_path.glob("*")) == []
@@ -174,6 +194,12 @@ class TestWitness46:
 
     def test_larger_qualifying_prime(self, tmp_path):
         assert run("witness46", "--p", 37, cache=tmp_path).returncode == 0
+
+    def test_above_root_scan_guard(self, tmp_path):
+        # 4194433 qualifies, but its certificate scans F_p for the witness
+        # cubic's roots, which polys refuses above 2^22
+        r = run("witness46", "--p", 4194433, cache=tmp_path)
+        assert_usage_error(r, "p = 4194433 exceeds the exhaustive-scan guard 4194304")
 
     def test_all_orderings(self, tmp_path):
         r = run("witness46", "--all-orderings", cache=tmp_path)
@@ -261,6 +287,7 @@ class TestCensus:
     def test_bad_graph_params(self, tmp_path):
         assert run("census", "--p", 4, "--t", 4, "--k", 4, cache=tmp_path).returncode == 2
         assert run("census", "--p", 3, "--t", 4, "--k", 0, cache=tmp_path).returncode == 2
+        assert run("census", "--p", 3, "--t", 4, "--k", 55, cache=tmp_path).returncode == 2
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         outs = {
@@ -371,6 +398,19 @@ class TestVerify:
         out.write_text(json.dumps(data))
         assert run("verify", out, cache=tmp_path).returncode == 2
 
+    def test_both_key_sets_take_general_schema(self, tmp_path):
+        gen, w46 = tmp_path / "g.json", tmp_path / "w.json"
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", gen,
+            cache=tmp_path)
+        run("witness46", "--output", w46, cache=tmp_path)
+        data = {**json.loads(w46.read_text()), **json.loads(gen.read_text())}
+        assert set(data) >= set(general.WITNESS_KEYS) | set(graph.WITNESS_KEYS)
+        out = tmp_path / "both.json"
+        out.write_text(json.dumps(data))
+        r = run("verify", out, cache=tmp_path)
+        assert r.returncode == 0
+        assert r.stdout.startswith("witness kind: general 3x2\n")
+
     def test_plain_graph_biclique(self, tmp_path):
         G = make_graph(3, 3)
         u = G.vertex_from_id(0)
@@ -384,7 +424,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, owner, name",
         [
-            (["witness46"], cli, "_schema_check_graph_witness"),
+            (["witness46"], graph, "witness_schema_check"),
             (["witness-general", "--t", "4", "--m", "2", "--limit", "20"],
              general, "general_schema_check"),
         ],
@@ -434,6 +474,14 @@ class TestExport:
     def test_size_guard(self, tmp_path):
         assert run("export", "--p", 101, "--t", 4, cache=tmp_path).returncode == 2
 
+    def test_size_guard_before_output(self, tmp_path):
+        out = tmp_path / "f"
+        r = run("export", "--p", 101, "--t", 4, "--output", out, cache=tmp_path)
+        assert_usage_error(
+            r, "graph has 103030100 vertices, above the enumeration guard 4194304"
+        )
+        assert not out.exists()
+
     def test_bad_params(self, tmp_path):
         assert run("export", "--p", 6, "--t", 3, cache=tmp_path).returncode == 2
 
@@ -471,6 +519,11 @@ class TestWitnessGeneral:
             "--format", "text", cache=tmp_path,
         )
         assert r.stdout.splitlines() == ["t=4 m=2 p=17 r=8 verified=True"]
+
+    def test_limit_above_bound(self, tmp_path):
+        r = run("witness-general", "--t", 4, "--m", 2, "--limit", 10**11,
+                cache=tmp_path, preexec_fn=cap_address_space)
+        assert_usage_error(r, f"--limit must be <= {10**7}, got {10**11}")
 
     def test_bad_t_is_usage_error(self, tmp_path):
         assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20,

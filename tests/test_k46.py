@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from normgraph import k46, polys
-from normgraph.graph import Vertex
+from normgraph.graph import Vertex, make_graph
 from normgraph.k46 import (
     DegeneracyError,
     QualifyingCertificate,
@@ -193,6 +193,19 @@ class TestBuild:
             assert set(w.B) == set(canonical.B)
             assert verify_witness(w).passed
 
+    @pytest.mark.parametrize("p", [7, 37])
+    def test_left_side_at_the_generator_is_A(self, p):
+        w = build_witness(is_qualifying_prime(p))
+        assert k46.left_side(w.field, w.field.gen) == w.A
+
+    def test_left_side_in_another_field_is_the_planted_quadruple(self):
+        from test_acceptance import planted_quadruple
+
+        G = make_graph(7, 4)
+        theta = polys.find_root_in_ext(k46.X3_MINUS_2, G.field, seed=0)
+        ids = tuple(G.vertex_id(v) for v in k46.left_side(G.field, theta))
+        assert ids == planted_quadruple(G)
+
     def test_root_order_must_be_a_permutation(self):
         cert = is_qualifying_prime(7)
         with pytest.raises(ValueError):
@@ -208,6 +221,17 @@ class TestVerify:
         assert report.adjacency_failures == []
         assert report.identity_checked == 24
         assert report.identity_failures == []
+
+    def test_canonical_witness_recognized(self):
+        w = build_witness(is_qualifying_prime(37))
+        G = witness_graph(w)
+        assert k46.canonical_witness(G, w.A[::-1], w.B).A == w.A[::-1]
+        # one left vertex swapped for a right one, or a smaller witness
+        assert k46.canonical_witness(G, w.B[:1] + w.A[1:], w.A[:1] + w.B[1:]) is None
+        assert k46.canonical_witness(G, w.A, w.B[:5]) is None
+        # the same vertices over another modulus
+        other = make_graph(37, 4, [3, 0, 0, 1])
+        assert k46.canonical_witness(other, w.A, w.B) is None
 
     def test_thirtyseven_passes(self):
         report = verify_witness(build_witness(is_qualifying_prime(37)))

@@ -1,6 +1,8 @@
 import random
 
-from normgraph.primes import is_prime, prime_factors, primes_up_to
+import pytest
+
+from normgraph.primes import SIEVE_LIMIT, is_prime, prime_factors, primes_up_to
 
 
 def test_is_prime_small():
@@ -39,6 +41,12 @@ def test_primes_up_to_matches_is_prime():
 def test_primes_up_to_count():
     # pi(10^5) = 9592
     assert len(primes_up_to(10**5)) == 9592
+
+
+def test_primes_up_to_refuses_above_its_bound():
+    # raised before the limit + 1 byte table is allocated
+    with pytest.raises(ValueError, match="sieve bound"):
+        primes_up_to(SIEVE_LIMIT + 1)
 
 
 def test_prime_factors():
