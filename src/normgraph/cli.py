@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import general, graph, k46
 from .graph import CENSUS_BUDGET, NormGraph, make_graph, witness_to_json
-from .polys import find_root_in_ext
+from .polys import ScanGuardError, find_root_in_ext
 from .primes import SIEVE_LIMIT, primes_up_to
 
 
@@ -226,7 +226,8 @@ def cmd_census(args) -> int:
         if args.sample:
             planted = _planted_subsets(G, args)
             mx, argmax = G.sample_max_common(
-                args.k, args.trials, args.seed, jobs=args.jobs, planted=planted
+                args.k, args.trials, args.seed, jobs=args.jobs, planted=planted,
+                budget=args.budget,
             )
             mode = {
                 "mode": "sample",
@@ -340,9 +341,12 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    # schema is sound; everything after this point is mathematics
+    # schema is sound; everything after this point is mathematics, except a
+    # size guard, which refuses the input rather than failing it
     try:
         lines, passed = checker(data, *sides)
+    except ScanGuardError as exc:
+        return _usage_error(str(exc))
     except (ValueError, AssertionError) as exc:
         print(f"witness invalid: {exc}")
         print("result: FAIL")

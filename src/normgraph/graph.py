@@ -10,13 +10,14 @@ graph is small enough.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
 from .parallel import chunk_list, chunk_ranges, run_tasks
 from .polys import is_irreducible
-from .primes import is_prime
+from .primes import is_prime, prime_factors
 
 # bitset-indexed neighborhoods (and edge export) refuse graphs above this
 ENUM_LIMIT = 2**22
@@ -123,6 +124,7 @@ class NormGraph:
         self.n = self.qprime * (p - 1)
         self._elements: list[ExtElement] | None = None
         self._norms: list[int] | None = None
+        self._blocks: list[list[str]] | None = None
 
     # -- vertex indexing -------------------------------------------------
 
@@ -171,28 +173,62 @@ class NormGraph:
         return self._elements
 
     def _norm_table(self) -> list[int]:
-        # bulk path: one conjugate-product norm per field element
+        """N(e) for every element e in index order, by two independent routes
+        that must agree: one conjugate product per element, and N(g^i) =
+        N(g)^i along the powers of a primitive element g."""
         if self._norms is None:
-            self._norms = [self.field.norm_conj(e) for e in self._element_list()]
+            conj = [self.field.norm_conj(e) for e in self._element_list()]
+            powers = _power_norm_table(self.field)
+            if conj != powers:
+                i = next(i for i, (x, y) in enumerate(zip(conj, powers)) if x != y)
+                raise AssertionError(
+                    f"norm table mismatch at element {i}: conjugate product "
+                    f"{conj[i]} vs power route {powers[i]}"
+                )
+            self._norms = conj
         return self._norms
 
-    def _bitset_for(self, vid: int) -> int:
+    def _norm_row(self, idx: int) -> list[int]:
+        """beta -> N(alpha + beta) over beta in index order, alpha the element
+        of index idx.  Indices add digit-wise mod p, so this is the norm table
+        with digit axis i rotated by alpha's digit i: slices, no field
+        arithmetic."""
         p = self.p
-        u = self.vertex_from_id(vid)
-        els = self._element_list()
-        norms = self._norm_table()
-        inv_a = fp_inv(u.a, p)
-        add = self.field.add
-        index = self.field.index
-        bits = 0
-        for j, beta in enumerate(els):
-            nv = norms[index(add(u.alpha, beta))]
-            if nv == 0:
-                continue  # beta = -alpha: the one non-neighbor direction
-            b = nv * inv_a % p
-            bits |= 1 << (j * (p - 1) + (b - 1))
-        bits &= ~(1 << vid)  # simple graph: drop the loop if present
-        return bits
+        row = self._norm_table()
+        stride = 1
+        for digit in self.field.element_from_index(idx):
+            if digit:
+                shift, span = digit * stride, p * stride
+                rotated = []
+                for b in range(0, self.qprime, span):
+                    rotated += row[b + shift : b + span]
+                    rotated += row[b : b + shift]
+                row = rotated
+            stride *= p
+        return row
+
+    def _block_table(self) -> list[list[str]]:
+        """blocks[a-1][v]: the p-1 bits, most significant first, that vertex
+        (alpha, a) holds for a beta with N(alpha + beta) = v: one-hot at
+        b = v/a (bit b-1 of the block), all zero for v = 0."""
+        if self._blocks is None:
+            p = self.p
+            onehot = ["0" * (p - 1)] + [
+                "0" * (p - 1 - b) + "1" + "0" * (b - 1) for b in range(1, p)
+            ]
+            self._blocks = [
+                [onehot[v * fp_inv(a, p) % p] for v in range(p)] for a in range(1, p)
+            ]
+        return self._blocks
+
+    def _row_bitset(self, reversed_row: list[int], vid: int) -> int:
+        # beta's block sits at bits j*(p-1)..; the last beta leads the string
+        block = self._block_table()[vid % (self.p - 1)]
+        bits = int("".join(map(block.__getitem__, reversed_row)), 2)
+        return bits & ~(1 << vid)  # simple graph: drop the loop if present
+
+    def _bitset_for(self, vid: int) -> int:
+        return self._row_bitset(self._norm_row(vid // (self.p - 1))[::-1], vid)
 
     def _all_bitsets(self) -> list[int]:
         need = self.n * -(-self.n // 8)
@@ -201,7 +237,16 @@ class NormGraph:
                 f"census bitsets for {self.n} vertices need {need} bytes, "
                 f"above the memory guard {CENSUS_MEMORY}"
             )
-        return [self._bitset_for(vid) for vid in range(self.n)]
+        out = []
+        for idx in range(self.qprime):
+            # one row per alpha, shared by its p-1 vertices
+            reversed_row = self._norm_row(idx)[::-1]
+            first = idx * (self.p - 1)
+            out.extend(
+                self._row_bitset(reversed_row, vid)
+                for vid in range(first, first + self.p - 1)
+            )
+        return out
 
     def common_neighbors(self, S: list[Vertex]) -> list[Vertex]:
         """Vertices outside S adjacent to every member of S, ascending."""
@@ -210,11 +255,10 @@ class NormGraph:
         ids = [self.vertex_id(self.check_vertex(s)) for s in S]
         if len(set(ids)) != len(ids):
             raise ValueError("query vertices must be distinct")
+        # no bitset holds its own bit, so the AND already excludes S
         inter = self._bitset_for(ids[0])
         for vid in ids[1:]:
             inter &= self._bitset_for(vid)
-        for vid in ids:
-            inter &= ~(1 << vid)
         return [self.vertex_from_id(i) for i in _iter_bits(inter)]
 
     # -- biclique verification ---------------------------------------------
@@ -269,15 +313,19 @@ class NormGraph:
         seed: int,
         jobs: int = 1,
         planted: tuple = (),
+        budget: int = CENSUS_BUDGET,
     ) -> tuple[int, tuple[int, ...]]:
         """Max |common neighborhood| over seeded random k-subsets (plus any
         planted id-subsets).  Trials are pre-generated from one stream, so
-        the result is identical for every worker count."""
+        the result is identical for every worker count.  Refuses more trials
+        than the budget."""
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        if trials > budget:
+            raise ValueError(
+                f"sampled census needs {trials} trials, over the budget of {budget}"
+            )
         self._require_subset_size(k)
-        import random
-
         bitsets = self._all_bitsets()
         rng = random.Random(seed)
         subsets = [tuple(sorted(rng.sample(range(self.n), k))) for _ in range(trials)]
@@ -302,6 +350,26 @@ class NormGraph:
         )
 
 
+def _power_norm_table(field: ExtField) -> list[int]:
+    """N(e) in index order from N(g^i) = N(g)^i, g the first primitive
+    element in index order: one field multiplication per element, anchored
+    on the determinant norm of g."""
+    p, q = field.p, field.order()
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    g = next(
+        g
+        for g in map(field.element_from_index, range(1, q))
+        if all(field.pow(g, c) != field.one for c in cofactors)
+    )
+    norm_g = field.norm_det(g)
+    table = [0] * q
+    e, norm_e = field.one, 1
+    for _ in range(q - 1):
+        table[field.index(e)] = norm_e
+        e, norm_e = field.mul(e, g), norm_e * norm_g % p
+    return table
+
+
 def _iter_bits(bits: int):
     while bits:
         low = bits & -bits
@@ -309,13 +377,12 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
-def _subset_census(bitsets: list[int], subset: list[int]) -> int:
+def _subset_census(bitsets: list[int], subset: tuple[int, ...]) -> int:
+    # no bitset holds its own bit, so the AND already excludes the subset
     inter = bitsets[subset[0]]
-    mask = 1 << subset[0]
     for s in subset[1:]:
         inter &= bitsets[s]
-        mask |= 1 << s
-    return (inter & ~mask).bit_count()
+    return inter.bit_count()
 
 
 def _colex_unrank(rank: int, k: int) -> list[int]:
@@ -331,28 +398,50 @@ def _colex_unrank(rank: int, k: int) -> list[int]:
 
 
 def _census_worker(task) -> tuple[int, tuple[int, ...]]:
+    """Max |common neighbourhood| over `count` >= 1 k-subsets in colex order
+    from rank `start`, with the colex-first maximizing subset.  No bitset may
+    hold its own bit: then the AND over a subset S already excludes every
+    member of S.
+
+    Colex order changes subset[0] fastest: it climbs to subset[1] - 1 while
+    the rest stays fixed.  So the suffix intersections suffix[j] =
+    AND(bitsets[subset[j:]]) are kept, only those the successor step changed
+    are rebuilt, and each subset of a climb costs one AND and one bit_count."""
     bitsets, k, start, count = task
     subset = _colex_unrank(start, k)
+    suffix = [-1] * (k + 1)  # suffix[k] = -1 has every bit set
+    stale = k - 1  # suffix[1..stale] are out of date
     best, best_subset = -1, ()
-    for _ in range(count):
-        size = _subset_census(bitsets, subset)
-        if size > best:
-            best, best_subset = size, tuple(subset)
-        # colex successor
+    while True:
+        for j in range(stale, 0, -1):
+            suffix[j] = bitsets[subset[j]] & suffix[j + 1]
+        lo = subset[0]
+        hi = lo + count if k == 1 else min(subset[1], lo + count)
+        sizes = [(b & suffix[1]).bit_count() for b in bitsets[lo:hi]]
+        top = max(sizes)
+        if top > best:
+            subset[0] = lo + sizes.index(top)
+            best, best_subset = top, tuple(subset)
+        count -= hi - lo
+        if not count:  # before the step: a last subset's successor may pass n
+            return best, best_subset
+        # colex successor of the climb's last subset, where subset[0] + 1
+        # == subset[1], so i >= 1
+        subset[0] = hi - 1
         i = 0
         while i < k - 1 and subset[i] + 1 == subset[i + 1]:
             i += 1
         subset[i] += 1
         for j in range(i):
             subset[j] = j
-    return best, best_subset
+        stale = i
 
 
 def _sample_worker(task) -> tuple[int, tuple[int, ...]]:
     bitsets, subsets = task
     best, best_subset = -1, ()
     for subset in subsets:
-        size = _subset_census(bitsets, list(subset))
+        size = _subset_census(bitsets, subset)
         if size > best:
             best, best_subset = size, subset
     return best, best_subset

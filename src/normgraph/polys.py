@@ -21,6 +21,11 @@ if TYPE_CHECKING:
 # exhaustive root scans refuse primes at or above this bound
 ROOT_SCAN_LIMIT = 2**22
 
+
+class ScanGuardError(ValueError):
+    """A root scan refused its prime: the input is too large to check, which
+    says nothing about whether it is mathematically sound."""
+
 # equal-degree splitting gives up after this many seeded attempts; on valid
 # input the failure probability is below 2^-64, so hitting it means the
 # caller's splitting precondition is wrong
@@ -242,7 +247,7 @@ def roots_in_base(h, p: int) -> dict[int, bool]:
     if len(h) < 2:
         raise ValueError("root scan needs degree >= 1")
     if p >= ROOT_SCAN_LIMIT:
-        raise ValueError(f"p = {p} exceeds the exhaustive-scan guard {ROOT_SCAN_LIMIT}")
+        raise ScanGuardError(f"p = {p} exceeds the exhaustive-scan guard {ROOT_SCAN_LIMIT}")
     sq = poly_gcd(h, poly_deriv(h, p), p)
     return {
         x: poly_eval(sq, x, p) == 0

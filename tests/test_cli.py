@@ -262,6 +262,31 @@ class TestCensus:
         assert r.stdout == ""
         assert r.stderr == "error: --trials must be >= 1\n"
 
+    def test_trials_over_budget_starts_no_work(self, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        # bitsets and trial draws both come after the guard
+        monkeypatch.setattr(graph.NormGraph, "_all_bitsets", work)
+        monkeypatch.setattr(graph.random, "Random", work)
+        trials = graph.CENSUS_BUDGET + 1
+        argv = ["census", "--p", "5", "--t", "3", "--k", "3", "--sample"]
+        assert cli.main([*argv, "--trials", str(trials)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: sampled census needs {trials} trials, "
+            f"over the budget of {graph.CENSUS_BUDGET}\n"
+        )
+
+    def test_trials_at_budget_run(self, tmp_path):
+        argv = ["census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--budget", 40]
+        r = run(*argv, "--trials", 40, cache=tmp_path)
+        assert r.returncode == 0
+        assert "mode: sample trials=40 seed=0" in r.stdout
+        r = run(*argv, "--trials", 41, cache=tmp_path)
+        assert_usage_error(r, "sampled census needs 41 trials, over the budget of 40")
+
     @pytest.mark.parametrize("p,t", [(4, 3), (4, 4), (9, 4), (4, 5)])
     def test_composite_p_reported_as_such(self, tmp_path, p, t):
         r = run("census", "--p", p, "--t", t, "--k", 3, cache=tmp_path)
@@ -438,6 +463,25 @@ class TestVerify:
         assert cli.main(["verify", str(out)]) == 0
         assert "result: PASS" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_canonical_witness_above_root_scan_guard(self, tmp_path):
+        # a canonical-looking 4x6 over x^3 - 2 at the qualifying prime
+        # 4194433: recognizing it needs a root scan above 2^22
+        p = 4194433
+        left = [([0, 0, 0], 3), ([1, 0, 0], 4), ([2, 0, 0], 5), ([1, 1, 0], 6)]
+        right = [([c, 0, 0], 1) for c in range(3, 9)]
+        data = {
+            "p": p,
+            "t": 4,
+            "modulus": [p - 2, 0, 0, 1],
+            "L": [{"alpha": alpha, "a": a} for alpha, a in left],
+            "R": [{"alpha": alpha, "a": a} for alpha, a in right],
+            "verified": True,
+        }
+        out = tmp_path / "big.json"
+        out.write_text(json.dumps(data))
+        r = run("verify", out, cache=tmp_path)
+        assert_usage_error(r, f"p = {p} exceeds the exhaustive-scan guard 4194304")
 
     def test_overlapping_sides_fail(self, tmp_path):
         G = make_graph(3, 3)

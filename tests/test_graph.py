@@ -1,9 +1,12 @@
+import functools
 import itertools
+import math
+import operator
 import random
 
 import pytest
 
-from normgraph import graph
+from normgraph import ff, graph
 from normgraph.graph import (
     NormGraph,
     Vertex,
@@ -14,6 +17,7 @@ from normgraph.graph import (
     vertex_to_obj,
     witness_to_json,
 )
+from normgraph.parallel import chunk_ranges
 
 
 def p74():
@@ -165,6 +169,50 @@ class TestNeighborhoods:
             G.common_neighbors([G.vertex_from_id(0), G.vertex_from_id(0)])
 
 
+class TestBitsets:
+    """The census bitsets, built from rotated norm rows, against the
+    adjacency oracle, which runs both norm routes on every pair."""
+
+    @staticmethod
+    def agrees(G, bitsets, u, v):
+        if u == v:
+            return not bitsets[u] >> u & 1  # no bitset holds its own bit
+        adjacent = G.adjacent(G.vertex_from_id(u), G.vertex_from_id(v))
+        return (bitsets[u] >> v & 1) == adjacent
+
+    @pytest.mark.parametrize("p, t", [(3, 4), (5, 3), (3, 5)])
+    def test_every_ordered_pair(self, p, t):
+        G = make_graph(p, t)
+        bitsets = G._all_bitsets()
+        assert bitsets == [G._bitset_for(vid) for vid in range(G.n)]
+        assert all(bits < 1 << G.n for bits in bitsets)
+        for u, v in itertools.product(range(G.n), repeat=2):
+            assert self.agrees(G, bitsets, u, v), (u, v)
+
+    @pytest.mark.parametrize("p, t", [(7, 4), (5, 5)])
+    def test_seeded_pairs(self, p, t):
+        G = make_graph(p, t)
+        bitsets = G._all_bitsets()
+        assert all(not bits >> vid & 1 for vid, bits in enumerate(bitsets))
+        rng = random.Random(p * 10 + t)
+        for _ in range(500):
+            u, v = rng.randrange(G.n), rng.randrange(G.n)
+            assert self.agrees(G, bitsets, u, v), (u, v)
+
+    def test_norm_table_routes_must_agree(self, monkeypatch):
+        G = make_graph(3, 4)
+        bad = G.field.element_from_index(5)
+        norm_conj = ff.ExtField.norm_conj
+
+        def corrupted(field, a):
+            n = norm_conj(field, a)
+            return (n + 1) % field.p if a == bad else n
+
+        monkeypatch.setattr(ff.ExtField, "norm_conj", corrupted)
+        with pytest.raises(AssertionError, match="norm table mismatch at element 5"):
+            G._all_bitsets()
+
+
 class TestBiclique:
     def test_pass_by_construction(self):
         G = make_graph(3, 4)
@@ -302,6 +350,26 @@ class TestColex:
         b = _census_worker((bitsets, 2, 5, 5))
         merged = a if a[0] >= b[0] else b
         assert full == merged
+
+    @pytest.mark.parametrize(
+        "p, t, k", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3)]
+    )
+    def test_worker_matches_brute_force(self, p, t, k):
+        G = make_graph(p, t)
+        bitsets = G._all_bitsets()
+        best, best_subset = -1, ()
+        for subset in itertools.combinations(range(G.n), k):
+            size = functools.reduce(operator.and_, map(bitsets.__getitem__, subset))
+            size = size.bit_count()
+            # the first maximum in colex order, which compares reversed tuples
+            if size > best or (size == best and subset[::-1] < best_subset[::-1]):
+                best, best_subset = size, subset
+        for jobs in (1, 2, 3, 4):
+            results = [
+                _census_worker((bitsets, k, start, count))
+                for start, count in chunk_ranges(math.comb(G.n, k), jobs)
+            ]
+            assert max(results, key=lambda r: r[0]) == (best, best_subset), jobs
 
     @pytest.mark.parametrize("p, t, k", [(3, 3, 2), (3, 3, 3), (5, 3, 2)])
     def test_chunked_census_keeps_colex_first_argmax(self, monkeypatch, p, t, k):
