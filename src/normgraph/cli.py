@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import general, graph, k46
 from .graph import CENSUS_BUDGET, NormGraph, make_graph, witness_to_json
-from .polys import ScanGuardError, find_root_in_ext
+from .polys import find_root_in_ext
 from .primes import SIEVE_LIMIT, primes_up_to
 
 
@@ -118,12 +118,8 @@ def cmd_sieve(args) -> int:
         if not writable:
             return _usage_error(f"--cache-dir {cache_dir} is not a writable directory")
     res = sieve_with_cache(args.limit, args.jobs, cache_dir)
-    if args.format == "csv":
-        out = k46.sieve_to_csv(res)
-        if args.output:
-            Path(args.output).write_text(out, encoding="utf-8")
-        else:
-            sys.stdout.write(out)
+    if args.format == "csv":  # the CSV text ends in exactly one newline
+        _emit(k46.sieve_to_csv(res).removesuffix("\n"), args.output)
     elif args.format == "json":
         _emit(json.dumps(k46.sieve_summary(res), indent=2), args.output)
     else:
@@ -158,10 +154,7 @@ def _check_lines(report) -> list[str]:
 
 def cmd_witness46(args) -> int:
     p = 7 if args.p is None else args.p
-    try:
-        cert = k46.is_qualifying_prime(p)
-    except ValueError as exc:  # p above the root-scan guard
-        return _usage_error(str(exc))
+    cert = k46.is_qualifying_prime(p)
     if isinstance(cert, k46.Rejection):
         print(f"not qualifying: {cert.reason}")
         return 1
@@ -341,12 +334,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    # schema is sound; everything after this point is mathematics, except a
-    # size guard, which refuses the input rather than failing it
+    # schema is sound; everything after this point is mathematics
     try:
         lines, passed = checker(data, *sides)
-    except ScanGuardError as exc:
-        return _usage_error(str(exc))
     except (ValueError, AssertionError) as exc:
         print(f"witness invalid: {exc}")
         print("result: FAIL")
@@ -516,7 +506,10 @@ def main(argv=None) -> int:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "limit", 0) > SIEVE_LIMIT:
         return _usage_error(f"--limit must be <= {SIEVE_LIMIT}, got {args.limit}")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # e.g. an --output path that cannot be written
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

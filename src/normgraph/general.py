@@ -140,11 +140,7 @@ def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitnes
     if len(set(alphas)) != m:
         raise AssertionError("extracted roots are not pairwise distinct")
 
-    A = []
-    zk = 1
-    for _ in range(t - 2):
-        zk = zk * params.zeta % p
-        A.append(Vertex(field.from_base(zk), 1))
+    A = [Vertex(field.from_base(pow(params.zeta, k, p)), 1) for k in range(1, t - 1)]
     A.append(Vertex(field.zero, 1))
     B = [
         Vertex(field.neg(alpha), (th - r) % p)
@@ -166,11 +162,7 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
     G = make_graph(p, t, shifted_poly(t, params.thetas[0], r, p))
     biclique = G.verify_biclique(w.A, w.B)
 
-    cs = [0]
-    zk = 1
-    for _ in range(t - 2):
-        zk = zk * params.zeta % p
-        cs.append(zk)
+    cs = [0] + [pow(params.zeta, k, p) for k in range(1, t - 1)]
     identity_failures = []
     field = G.field
     for i, vert in enumerate(w.B):

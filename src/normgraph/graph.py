@@ -108,6 +108,10 @@ def make_graph(p: int, t: int, modulus=None) -> "NormGraph":
         raise ValueError(f"t must be >= 3, got {t}")
     k = t - 1
     if modulus is None:
+        if 2**k > ENUM_LIMIT:  # refused before a search costing about p^k
+            raise ValueError(
+                f"P({p},{t}) has at least 2^{k} vertices, above the enumeration guard {ENUM_LIMIT}"
+            )
         modulus = _smallest_irreducible(p, k)
     field = ExtField(p, k, modulus)  # validates p prime + irreducibility
     return NormGraph(p, t, field)

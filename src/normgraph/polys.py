@@ -11,20 +11,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from .primes import prime_factors
 
 if TYPE_CHECKING:
     from .ff import ExtElement, ExtField
-
-# exhaustive root scans refuse primes at or above this bound
-ROOT_SCAN_LIMIT = 2**22
-
-
-class ScanGuardError(ValueError):
-    """A root scan refused its prime: the input is too large to check, which
-    says nothing about whether it is mathematically sound."""
 
 # equal-degree splitting gives up after this many seeded attempts; on valid
 # input the failure probability is below 2^-64, so hitting it means the
@@ -58,11 +51,6 @@ def _norm(h, p: int) -> list[int]:
     return poly_trim([c % p for c in h])
 
 
-def poly_deg(h) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(poly_trim(h)) - 1
-
-
 def poly_eval(h, x: int, p: int) -> int:
     """Horner evaluation of h at x over F_p."""
     acc = 0
@@ -82,17 +70,11 @@ def eval_in_ext(h, x: ExtElement, F: ExtField) -> ExtElement:
 
 
 def poly_add(a, b, p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim([(x + y) % p for x, y in zip(a, b)])
+    return poly_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_sub(a, b, p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim([(x - y) % p for x, y in zip(a, b)])
+    return poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_mul(a, b, p: int) -> list[int]:
@@ -228,32 +210,59 @@ def is_irreducible(h, p: int) -> bool:
     x = [0, 1]
     xp = poly_pow_mod(x, p, h, p)
     if d == 3:
-        return poly_deg(poly_gcd(poly_sub(xp, x, p), h, p)) == 0
+        return len(poly_gcd(poly_sub(xp, x, p), h, p)) == 1
     powers = [x, xp]  # powers[i] = x^(p^i) mod h
     for _ in range(d - 1):
         powers.append(poly_compose_mod(powers[-1], xp, h, p))
     if powers[d] != x:
         return False
     for ell in prime_factors(d):
-        if poly_deg(poly_gcd(poly_sub(powers[d // ell], x, p), h, p)) > 0:
+        if len(poly_gcd(poly_sub(powers[d // ell], x, p), h, p)) > 1:
             return False
     return True
 
 
+def _split_linear(g: list[int], p: int) -> list[int]:
+    # roots of g, monic and a product of distinct linear factors over F_p:
+    # gcd(w, (x + delta)^((p-1)/2) - 1) keeps the roots a of w with a + delta
+    # a nonzero square, so a seeded delta splits w about half the time.  Over
+    # F_2 that exponent is 0 and nothing splits, so 0 and 1 are evaluated.
+    if p == 2:
+        return [c for c in (0, 1) if poly_eval(g, c, p) == 0]
+    rng = random.Random(0)
+    pending, roots = [g], []
+    while pending:
+        w = pending.pop()
+        if len(w) == 2:
+            roots.append(-w[0] % p)
+        elif len(w) > 2:
+            for _ in range(_SPLIT_ATTEMPTS):
+                s = poly_pow_mod([rng.randrange(p), 1], (p - 1) // 2, w, p)
+                f = poly_gcd(w, poly_sub(s, [1], p), p)
+                if 1 < len(f) < len(w):
+                    pending += [f, poly_divmod(w, f, p)[0]]
+                    break
+            else:
+                raise AssertionError("splitting did not terminate")
+    return roots
+
+
 def roots_in_base(h, p: int) -> dict[int, bool]:
-    """All roots of h in F_p by exhaustive scan, mapped to a repeated-root
-    flag (true when gcd(h, h') also vanishes there).  Guarded to p < 2^22."""
+    """All roots of h in F_p, ascending, mapped to a repeated-root flag (true
+    when gcd(h, h') also vanishes there).  Seeded equal-degree splitting
+    (Cantor-Zassenhaus) of gcd(h, x^p - x), the product of x - a over the
+    distinct roots a: polynomial in deg h and log p, and the result does not
+    depend on the internal seed.  Every root is checked by evaluation."""
     h = _norm(h, p)
     if len(h) < 2:
-        raise ValueError("root scan needs degree >= 1")
-    if p >= ROOT_SCAN_LIMIT:
-        raise ScanGuardError(f"p = {p} exceeds the exhaustive-scan guard {ROOT_SCAN_LIMIT}")
+        raise ValueError("root finding needs degree >= 1")
+    x = [0, 1]
+    g = poly_gcd(h, poly_sub(poly_pow_mod(x, p, h, p), x, p), p)
+    roots = sorted(_split_linear(g, p))
+    if any(poly_eval(h, r, p) for r in roots):
+        raise AssertionError("a split root fails to satisfy the polynomial")
     sq = poly_gcd(h, poly_deriv(h, p), p)
-    return {
-        x: poly_eval(sq, x, p) == 0
-        for x in range(p)
-        if poly_eval(h, x, p) == 0
-    }
+    return {r: poly_eval(sq, r, p) == 0 for r in roots}
 
 
 # -- polynomials with extension-field coefficients (for root extraction) --
@@ -374,16 +383,15 @@ def power_residue(a: int, m: int, p: int) -> bool:
 
 
 def primitive_nth_root(n: int, p: int) -> int | None:
-    """Smallest element of F_p* with multiplicative order exactly n,
-    or None when n does not divide p - 1."""
+    """Smallest element of F_p* with multiplicative order exactly n, or None
+    when n does not divide p - 1: the smallest root of x^n - 1 (found by
+    roots_in_base) that is not a root of x^(n/l) - 1 for any prime l | n."""
     if n < 1:
         raise ValueError("order must be positive")
     if (p - 1) % n != 0:
         return None
-    factors = prime_factors(n) if n > 1 else []
-    for c in range(1, p):
-        if fp_pow(c, n, p) != 1:
-            continue
+    factors = prime_factors(n)
+    for c in roots_in_base([-1] + [0] * (n - 1) + [1], p):
         if all(fp_pow(c, n // ell, p) != 1 for ell in factors):
             return c
     return None

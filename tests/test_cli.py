@@ -63,6 +63,26 @@ class TestUsage:
         assert r.stdout == ""
         assert r.stderr == f"error: --jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sieve", "--limit", 150, "--no-cache"),
+            ("witness46",),
+            ("census", "--p", 3, "--t", 3, "--k", 2),
+            ("export", "--p", 3, "--t", 3),
+            ("witness-general", "--t", 4, "--m", 2, "--limit", 20),
+        ],
+        ids=["sieve", "witness46", "census", "export", "witness-general"],
+    )
+    def test_unwritable_output(self, tmp_path, argv):
+        out = tmp_path / "missing" / "x"
+        r = run(*argv, "--output", out, cache=tmp_path)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+        assert str(out) in r.stderr
+        assert r.stderr.count("\n") == 1
+
 
 class TestSieve:
     def test_text_150(self, tmp_path):
@@ -196,10 +216,37 @@ class TestWitness46:
         assert run("witness46", "--p", 37, cache=tmp_path).returncode == 0
 
     def test_above_root_scan_guard(self, tmp_path):
-        # 4194433 qualifies, but its certificate scans F_p for the witness
-        # cubic's roots, which polys refuses above 2^22
-        r = run("witness46", "--p", 4194433, cache=tmp_path)
-        assert_usage_error(r, "p = 4194433 exceeds the exhaustive-scan guard 4194304")
+        # 4194433, the first qualifying prime above 2^22, where roots were
+        # once found by scanning F_p and refused
+        r = run("witness46", "--p", 4194433, cache=tmp_path, timeout=60)
+        assert r.returncode == 0
+        assert r.stdout.splitlines()[-3:] == [
+            "adjacency checks: 24/24 passed",
+            "identity checks: 24/24 passed",
+            "result: PASS",
+        ]
+
+    def test_thirteen_digit_prime_then_verify(self, tmp_path):
+        # a qualifying prime near 10^13: root finding is polylogarithmic in
+        # p, so building and re-verifying the witness takes well under a
+        # second
+        out = tmp_path / "w.json"
+        r = run("witness46", "--p", 10000000000267, "--output", out,
+                cache=tmp_path, timeout=60)
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "adjacency checks: 24/24 passed",
+            "identity checks: 24/24 passed",
+            "result: PASS",
+        ]
+        r = run("verify", out, cache=tmp_path, timeout=60)
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            "witness kind: canonical 4x6",
+            "adjacency checks: 24/24 passed",
+            "identity checks: 24/24 passed",
+            "result: PASS",
+        ]
 
     def test_all_orderings(self, tmp_path):
         r = run("witness46", "--all-orderings", cache=tmp_path)
@@ -303,6 +350,17 @@ class TestCensus:
         assert r.stdout == ""
         assert r.stderr.startswith("error: census bitsets for 28697814 vertices")
         assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("t", [24, 40, 150])
+    def test_modulus_search_refused_above_enumeration_guard(self, tmp_path, t):
+        # P(3,t) has over 2^(t-1) > 2^22 vertices, refused before the
+        # degree t-1 modulus search, whose cost grows with 3^(t-1)
+        r = run("census", "--p", 3, "--t", t, "--k", 1, "--sample", "--trials", 1,
+                cache=tmp_path, timeout=60)
+        assert_usage_error(
+            r, f"P(3,{t}) has at least 2^{t - 1} vertices, above the enumeration "
+            "guard 4194304"
+        )
 
     def test_k_not_t_skips_bound(self, tmp_path):
         r = run("census", "--p", 3, "--t", 4, "--k", 2, cache=tmp_path)
@@ -466,7 +524,8 @@ class TestVerify:
 
     def test_canonical_witness_above_root_scan_guard(self, tmp_path):
         # a canonical-looking 4x6 over x^3 - 2 at the qualifying prime
-        # 4194433: recognizing it needs a root scan above 2^22
+        # 4194433, above 2^22: it is recognized and checked, and its right
+        # side is not the witness's
         p = 4194433
         left = [([0, 0, 0], 3), ([1, 0, 0], 4), ([2, 0, 0], 5), ([1, 1, 0], 6)]
         right = [([c, 0, 0], 1) for c in range(3, 9)]
@@ -480,8 +539,11 @@ class TestVerify:
         }
         out = tmp_path / "big.json"
         out.write_text(json.dumps(data))
-        r = run("verify", out, cache=tmp_path)
-        assert_usage_error(r, f"p = {p} exceeds the exhaustive-scan guard 4194304")
+        r = run("verify", out, cache=tmp_path, timeout=60)
+        assert r.returncode == 1
+        lines = r.stdout.splitlines()
+        assert lines[0] == "witness kind: canonical 4x6"
+        assert lines[-1] == "result: FAIL"
 
     def test_overlapping_sides_fail(self, tmp_path):
         G = make_graph(3, 3)
@@ -528,6 +590,15 @@ class TestExport:
 
     def test_bad_params(self, tmp_path):
         assert run("export", "--p", 6, "--t", 3, cache=tmp_path).returncode == 2
+
+    def test_modulus_search_refused_above_enumeration_guard(self, tmp_path):
+        out = tmp_path / "f"
+        r = run("export", "--p", 3, "--t", 40, "--output", out, cache=tmp_path,
+                timeout=60)
+        assert_usage_error(
+            r, "P(3,40) has at least 2^39 vertices, above the enumeration guard 4194304"
+        )
+        assert not out.exists()
 
     def test_composite_p_reported_as_such(self, tmp_path):
         r = run("export", "--p", 6, "--t", 3, cache=tmp_path)

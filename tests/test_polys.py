@@ -27,6 +27,22 @@ from normgraph.polys import (
 WITNESS_CUBIC = [7, 3, 21, 1]
 
 
+def scan_roots(h, p):
+    """Reference: every root of h in F_p by exhaustive scan, mapped to the
+    repeated-root flag."""
+    h = poly_trim([c % p for c in h])
+    sq = poly_gcd(h, poly_deriv(h, p), p)
+    return {x: poly_eval(sq, x, p) == 0 for x in range(p) if poly_eval(h, x, p) == 0}
+
+
+def scan_primitive_root(n, p):
+    """Reference: smallest element of F_p* of order exactly n, by scan."""
+    for c in range(1, p):
+        if pow(c, n, p) == 1 and all(pow(c, d, p) != 1 for d in range(1, n)):
+            return c
+    return None
+
+
 class TestBasicOps:
     def test_trim(self):
         assert poly_trim([1, 2, 0, 0]) == [1, 2]
@@ -205,8 +221,38 @@ class TestRoots:
         assert roots_in_base(g, 7) == {2: True, 3: False}
 
     def test_scan_guard(self):
-        with pytest.raises(ValueError):
-            roots_in_base([1, 0, 1], 10**9 + 7)
+        # no scan, so no guard: primes far above 2^22 are split, not refused
+        for p in (10**9 + 7, 10000000000267):
+            for h in ([1, 0, 1], WITNESS_CUBIC, [-6, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1]):
+                found = roots_in_base(h, p)
+                assert all(poly_eval(h, x, p) == 0 for x in found)
+        # 10000000000267 qualifies, so the witness cubic has three roots
+        assert len(roots_in_base(WITNESS_CUBIC, 10000000000267)) == 3
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
+    def test_matches_exhaustive_scan(self, p):
+        # seeded inputs built from linear factors, some repeated, times a
+        # random cofactor; the dict must match the scan key for key, flags
+        # and ascending order included
+        rng = random.Random(p)
+        for _ in range(150):
+            h = [rng.randrange(1, p)]
+            for _ in range(rng.randrange(6)):
+                h = poly_mul(h, [rng.randrange(p), 1], p)
+            h = poly_mul(h, [rng.randrange(p) for _ in range(rng.randrange(4))] + [1], p)
+            if len(h) < 2:
+                continue
+            found = roots_in_base(h, p)
+            assert found == scan_roots(h, p)
+            assert list(found) == sorted(found)
+
+    def test_p2_terminates(self):
+        # (p-1)/2 = 0 over F_2, so splitting never splits; 0 and 1 are
+        # evaluated instead
+        assert roots_in_base([0, 1, 1], 2) == {0: False, 1: False}  # x(x+1)
+        assert roots_in_base([0, 0, 1], 2) == {0: True}  # x^2
+        assert roots_in_base([1, 1, 1], 2) == {}
+        assert roots_in_base([0, 1, 0, 1], 2) == {0: False, 1: True}  # x(x+1)^2
 
     def test_roots_actually_vanish(self):
         rng = random.Random(11)
@@ -308,6 +354,16 @@ class TestRootsOfUnity:
             assert pow(z, n, p) == 1
             for d in range(1, n):
                 assert pow(z, d, p) != 1 or d == n
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 37, 1009])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12])
+    def test_matches_exhaustive_scan(self, n, p):
+        assert primitive_nth_root(n, p) == scan_primitive_root(n, p)
+
+    def test_large_prime(self):
+        p = 10000000000267
+        z = primitive_nth_root(3, p)
+        assert pow(z, 3, p) == 1 and z != 1
 
     def test_smallest_is_returned(self):
         z = primitive_nth_root(3, 13)
