@@ -10,7 +10,6 @@ wall time, never output bytes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -21,73 +20,15 @@ from pathlib import Path
 from . import general, graph, k46
 from .graph import CENSUS_BUDGET, NormGraph, make_graph, witness_to_json
 from .polys import find_root_in_ext
-from .primes import SIEVE_LIMIT, primes_up_to
+# primes_up_to is unused here; perfbench/layers.py rebinds cli.primes_up_to
+from .primes import PSI_12, SIEVE_LIMIT, primes_up_to  # noqa: F401
 
 
-# -- cache ---------------------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("NORMGRAPH_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "normgraph"
-
-
-def cache_path(cache_dir: Path, subcommand: str, params: dict) -> Path:
-    key = json.dumps({"subcommand": subcommand, **params}, sort_keys=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
-    tag = "-".join(str(v) for _, v in sorted(params.items()))
-    return cache_dir / f"{subcommand}-{tag}-{digest}.csv"
+# -- output helpers ------------------------------------------------------------
 
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _recheck_sieve_rows(res: k46.SieveResult) -> bool:
-    """Cheap trust check on cached rows: the prime list must match a fresh
-    sieve and every row, verdict and reason, must match the residue
-    formulation (primality is already settled by the prime-list comparison)."""
-    if [r.p for r in res.rows] != primes_up_to(res.limit):
-        return False
-    for r in res.rows:
-        reason = k46._shared_reject(r.p) or k46._residue_formulation(r.p) or ""
-        if r != k46.SieveRow(r.p, not reason, reason):
-            return False
-    return True
-
-
-def sieve_with_cache(
-    limit: int, jobs: int, cache_dir: Path | None
-) -> k46.SieveResult:
-    """Sieve, consulting the CSV cache when a directory is given (it must
-    exist).  Hits are re-verified, not trusted; misses and stale entries are
-    recomputed and rewritten.  Stdout output never differs between the
-    paths."""
-    path = None
-    if cache_dir is not None:
-        path = cache_path(cache_dir, "sieve", {"limit": limit})
-        if path.is_file():
-            try:
-                cached = k46.sieve_from_csv(path.read_text(encoding="utf-8"), limit)
-            except ValueError as exc:
-                _note(f"cache entry unreadable ({exc}); recomputing")
-            else:
-                if _recheck_sieve_rows(cached):
-                    _note(f"cache hit: {path} (re-verified)")
-                    return cached
-                _note("cache entry failed re-verification; recomputing")
-    res = k46.sieve_qualifying(limit, jobs=jobs)
-    if path is not None:
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(k46.sieve_to_csv(res), encoding="utf-8")
-        os.replace(tmp, path)
-        _note(f"cache write: {path}")
-    return res
-
-
-# -- output helpers ------------------------------------------------------------
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -108,16 +49,7 @@ def _usage_error(msg: str) -> int:
 def cmd_sieve(args) -> int:
     if args.limit < 2:
         return _usage_error("--limit must be >= 2")
-    cache_dir = None if args.no_cache else Path(args.cache_dir)
-    if cache_dir is not None:
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            writable = os.access(cache_dir, os.W_OK | os.X_OK)
-        except OSError:
-            writable = False
-        if not writable:
-            return _usage_error(f"--cache-dir {cache_dir} is not a writable directory")
-    res = sieve_with_cache(args.limit, args.jobs, cache_dir)
+    res = k46.sieve_qualifying(args.limit, jobs=args.jobs)
     if args.format == "csv":  # the CSV text ends in exactly one newline
         _emit(k46.sieve_to_csv(res).removesuffix("\n"), args.output)
     elif args.format == "json":
@@ -333,6 +265,8 @@ def cmd_verify(args) -> int:
             )
     except ValueError as exc:
         return _usage_error(str(exc))
+    if data["p"] >= PSI_12:
+        return _usage_error(f"p must be < {PSI_12}, got {data['p']}")
 
     # schema is sound; everything after this point is mathematics
     try:
@@ -440,11 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--limit", type=int, required=True)
     p_sieve.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_sieve.add_argument(
-        "--cache-dir",
-        default=str(default_cache_dir()),
-        help="cache directory (env NORMGRAPH_CACHE overrides the default)",
+        "--no-cache", action="store_true",
+        help="accepted and ignored: the sieve keeps no cache",
     )
-    p_sieve.add_argument("--no-cache", action="store_true")
     _add_common(p_sieve)
     p_sieve.set_defaults(fn=cmd_sieve)
 
@@ -506,6 +438,15 @@ def main(argv=None) -> int:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "limit", 0) > SIEVE_LIMIT:
         return _usage_error(f"--limit must be <= {SIEVE_LIMIT}, got {args.limit}")
+    if (getattr(args, "p", None) or 0) >= PSI_12:
+        return _usage_error(f"--p must be < {PSI_12}, got {args.p}")
+    output = getattr(args, "output", None)
+    if output:
+        out = Path(output)
+        if out.is_dir() or not (
+            out.parent.is_dir() and os.access(out.parent, os.W_OK | os.X_OK)
+        ):
+            return _usage_error(f"--output {output} is not a file in a writable directory")
     try:
         return args.fn(args)
     except OSError as exc:  # e.g. an --output path that cannot be written

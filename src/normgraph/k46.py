@@ -118,6 +118,11 @@ def qualifying_verdict(p: int) -> tuple[bool, str]:
     are evaluated and must agree on the first failed condition."""
     if not is_prime(p):
         return False, f"{p} is not prime"
+    return _prime_verdict(p)
+
+
+def _prime_verdict(p: int) -> tuple[bool, str]:
+    # qualifying_verdict for a p already known to be prime
     shared = _shared_reject(p)
     if shared is not None:
         return False, shared
@@ -182,7 +187,8 @@ class SieveResult:
 
 
 def _sieve_chunk(ps: list[int]) -> list[SieveRow]:
-    return [SieveRow(p, *qualifying_verdict(p)) for p in ps]
+    # ps come from primes_up_to, whose Eratosthenes list certifies them
+    return [SieveRow(p, *_prime_verdict(p)) for p in ps]
 
 
 def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
@@ -200,19 +206,6 @@ def sieve_to_csv(res: SieveResult) -> str:
     for r in res.rows:
         lines.append(f"{r.p},{1 if r.qualifying else 0},{r.reason}")
     return "\n".join(lines) + "\n"
-
-
-def sieve_from_csv(text: str, limit: int) -> SieveResult:
-    lines = text.splitlines()
-    if not lines or lines[0] != "p,qualifying,reason":
-        raise ValueError("bad sieve CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",", 2)
-        if len(parts) != 3 or parts[1] not in ("0", "1"):
-            raise ValueError(f"bad sieve CSV row: {ln!r}")
-        rows.append(SieveRow(int(parts[0]), parts[1] == "1", parts[2]))
-    return SieveResult(limit=limit, rows=rows)
 
 
 def sieve_summary(res: SieveResult) -> dict:

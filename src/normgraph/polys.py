@@ -134,10 +134,15 @@ def _cubic_pow_mod(base, e: int, h: list[int], p: int) -> list[int]:
     # low terms, so the power stays on three coefficients: nothing is
     # trimmed, normalised or long-divided inside the loop.  The products
     # are written out in place because a call per product costs more than
-    # the arithmetic.
+    # the arithmetic.  A base below degree 3 is already a remainder, so it is
+    # only reduced mod p; multiplying by x is a shift plus one fold of x^3.
     inv_lead = fp_inv(h[3], p)
     r0, r1, r2 = (-c * inv_lead % p for c in h[:3])
-    b0, b1, b2 = (poly_divmod(base, h, p)[1] + [0, 0, 0])[:3]
+    if len(base) < 4:
+        b0, b1, b2 = ([c % p for c in base] + [0, 0, 0])[:3]
+    else:
+        b0, b1, b2 = (poly_divmod(base, h, p)[1] + [0, 0, 0])[:3]
+    shift = (b0, b1, b2) == (0, 1, 0)
     c0, c1, c2 = 1, 0, 0
     for bit in bin(e)[2:]:  # left to right, so every multiply is by b
         d4 = c2 * c2 % p
@@ -147,7 +152,9 @@ def _cubic_pow_mod(base, e: int, h: list[int], p: int) -> list[int]:
         c0 = (c0 * c0 + d3 * r0) % p
         c1 = (d1 + d3 * r1) % p
         c2 = (d2 + d3 * r2) % p
-        if bit == "1":
+        if bit == "1" and shift:
+            c0, c1, c2 = c2 * r0 % p, (c0 + c2 * r1) % p, (c1 + c2 * r2) % p
+        elif bit == "1":
             d4 = c2 * b2 % p
             d3 = (c1 * b2 + c2 * b1 + d4 * r2) % p
             d2 = c0 * b2 + c1 * b1 + c2 * b0 + d4 * r1
@@ -191,12 +198,33 @@ def poly_compose_mod(f, g, h, p: int) -> list[int]:
     return acc
 
 
+def _coprime_to_cubic(u: list[int], h: list[int], p: int) -> bool:
+    """gcd(u, h) == 1 for canonical u of degree < 3 and a canonical cubic h.
+    Euclid on lists that every step leaves canonical, so nothing is
+    re-normalised or re-trimmed between steps."""
+    a, b = h, u
+    while len(b) > 1:
+        inv_lead = pow(b[-1], -1, p)
+        n = len(b) - 1
+        r = list(a)
+        for d in range(len(a) - 1, n - 1, -1):
+            c = r[d] * inv_lead % p
+            if c:
+                for j in range(n):
+                    r[d - n + j] = (r[d - n + j] - c * b[j]) % p
+        del r[n:]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return len(b) == 1  # a nonzero constant remainder; empty means gcd = a
+
+
 def is_irreducible(h, p: int) -> bool:
     """Irreducibility test over F_p.
 
     A cubic is irreducible iff it has no root in F_p, iff it is coprime to
     x^p - x (the product of all x - a over F_p): one poly_pow_mod and one
-    poly_gcd.  Every other degree d >= 2 takes the distinct-degree test:
+    Euclid loop.  Every other degree d >= 2 takes the distinct-degree test:
     h is irreducible iff x^(p^d) == x mod h and, for every prime l dividing
     d, x^(p^(d/l)) - x is coprime to h.  The iterated Frobenius powers are
     built by modular composition with x^p, using u(x)^p == u(x^p) mod (h, p).
@@ -210,7 +238,7 @@ def is_irreducible(h, p: int) -> bool:
     x = [0, 1]
     xp = poly_pow_mod(x, p, h, p)
     if d == 3:
-        return len(poly_gcd(poly_sub(xp, x, p), h, p)) == 1
+        return _coprime_to_cubic(poly_sub(xp, x, p), h, p)
     powers = [x, xp]  # powers[i] = x^(p^i) mod h
     for _ in range(d - 1):
         powers.append(poly_compose_mod(powers[-1], xp, h, p))

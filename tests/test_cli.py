@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: flags, exit codes, formats, cache, determinism."""
+"""End-to-end CLI behavior: flags, exit codes, formats, determinism."""
 
 import json
 import os
@@ -8,19 +8,16 @@ import sys
 
 import pytest
 
-from normgraph import cli, general, graph
+from normgraph import cli, general, graph, k46
 from normgraph.graph import make_graph, witness_to_json
+from normgraph.primes import PSI_12
 
 
-def run(*argv, cache=None, **kwargs):
-    env = os.environ.copy()
-    if cache is not None:
-        env["NORMGRAPH_CACHE"] = str(cache)
+def run(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "normgraph", *map(str, argv)],
         capture_output=True,
         text=True,
-        env=env,
         **kwargs,
     )
 
@@ -57,8 +54,8 @@ class TestUsage:
         ids=["sieve", "census", "witness-general"],
     )
     @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, tmp_path, argv, jobs):
-        r = run(*argv, "--jobs", jobs, cache=tmp_path)
+    def test_jobs_below_one_rejected(self, argv, jobs):
+        r = run(*argv, "--jobs", jobs)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == f"error: --jobs must be >= 1, got {jobs}\n"
@@ -76,17 +73,58 @@ class TestUsage:
     )
     def test_unwritable_output(self, tmp_path, argv):
         out = tmp_path / "missing" / "x"
-        r = run(*argv, "--output", out, cache=tmp_path)
+        r = run(*argv, "--output", out)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.startswith("error: ")
         assert str(out) in r.stderr
         assert r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["sieve", "--limit", "1000000", "--no-cache"], k46, "sieve_qualifying"),
+            (["census", "--p", "3", "--t", "3", "--k", "2"],
+             graph.NormGraph, "census_max_common"),
+            (["witness-general", "--t", "4", "--m", "2", "--limit", "2000"],
+             general, "find_parameters"),
+        ],
+        ids=["sieve", "census", "witness-general"],
+    )
+    def test_unwritable_output_starts_no_work(
+        self, tmp_path, monkeypatch, capsys, argv, owner, name
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(owner, name, work)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        for out in (tmp_path / "missing" / "x", plain / "x", tmp_path):
+            assert cli.main([*argv, "--output", str(out)]) == 2
+            stdout, stderr = capsys.readouterr()
+            assert stdout == ""
+            assert stderr == (
+                f"error: --output {out} is not a file in a writable directory\n"
+            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("witness46", "--p", PSI_12), ("census", "--p", PSI_12, "--t", 3, "--k", 1)],
+        ids=["witness46", "census"],
+    )
+    def test_p_at_psi_12_refused(self, capsys, argv):
+        # below PSI_12 the twelve-base Miller-Rabin test is exact; PSI_12
+        # itself is a composite it passes
+        assert cli.main([str(a) for a in argv]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: --p must be < {PSI_12}, got {PSI_12}\n"
+
 
 class TestSieve:
-    def test_text_150(self, tmp_path):
-        r = run("sieve", "--limit", 150, cache=tmp_path)
+    def test_text_150(self):
+        r = run("sieve", "--limit", 150)
         assert r.returncode == 0
         lines = r.stdout.splitlines()
         assert lines[:3] == ["7", "37", "139"]
@@ -94,15 +132,15 @@ class TestSieve:
             "3 qualifying of 35 primes up to 150; ratio 0.085714 (target 0.111111)"
         )
 
-    def test_empty_below_seven(self, tmp_path):
-        r = run("sieve", "--limit", 6, cache=tmp_path)
+    def test_empty_below_seven(self):
+        r = run("sieve", "--limit", 6)
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "0 qualifying of 3 primes up to 6; ratio 0.000000 (target 0.111111)"
         ]
 
-    def test_json_summary_keys(self, tmp_path):
-        r = run("sieve", "--limit", 150, "--format", "json", cache=tmp_path)
+    def test_json_summary_keys(self):
+        r = run("sieve", "--limit", 150, "--format", "json")
         data = json.loads(r.stdout)
         assert list(data) == ["limit", "count", "pi", "ratio", "target"]
         assert data["limit"] == 150
@@ -111,69 +149,33 @@ class TestSieve:
         assert data["ratio"] == pytest.approx(3 / 35)
         assert data["target"] == pytest.approx(1 / 9)
 
-    def test_csv_format(self, tmp_path):
-        r = run("sieve", "--limit", 30, "--format", "csv", cache=tmp_path)
+    def test_csv_format(self):
+        r = run("sieve", "--limit", 30, "--format", "csv")
         lines = r.stdout.splitlines()
         assert lines[0] == "p,qualifying,reason"
         assert len(lines) == 11  # ten primes below 30
         assert lines[4].startswith("7,1,")
 
-    def test_limit_too_small(self, tmp_path):
-        assert run("sieve", "--limit", 1, cache=tmp_path).returncode == 2
+    def test_limit_too_small(self):
+        assert run("sieve", "--limit", 1).returncode == 2
 
-    def test_cache_roundtrip_same_stdout(self, tmp_path):
-        first = run("sieve", "--limit", 200, cache=tmp_path)
-        files = list((tmp_path).glob("sieve-200-*.csv"))
-        assert len(files) == 1
-        second = run("sieve", "--limit", 200, cache=tmp_path)
-        assert first.stdout == second.stdout
-        assert "cache hit" in second.stderr
-
-    def test_tampered_cache_recomputed(self, tmp_path):
-        first = run("sieve", "--limit", 200, cache=tmp_path)
-        f = next(tmp_path.glob("sieve-200-*.csv"))
-        f.write_text(f.read_text().replace("7,1,", "7,0,", 1))
-        again = run("sieve", "--limit", 200, cache=tmp_path)
-        assert again.stdout == first.stdout
-        assert "failed re-verification" in again.stderr
-        # the rewritten entry is clean again
-        assert "7,1," in f.read_text()
-
-    def test_tampered_reasons_recomputed(self, tmp_path):
-        first = run("sieve", "--limit", 200, "--format", "csv", cache=tmp_path)
-        f = next(tmp_path.glob("sieve-200-*.csv"))
-        forged = {"7": "7,1,TAMPERED", "11": "11,0,forged reason"}
-        f.write_text("".join(
-            forged.get(ln.split(",")[0], ln) + "\n" for ln in f.read_text().splitlines()
-        ))
-        again = run("sieve", "--limit", 200, "--format", "csv", cache=tmp_path)
-        assert again.stdout == first.stdout
-        assert "failed re-verification" in again.stderr
-
-    def test_unwritable_cache_dir(self, tmp_path):
-        blocker = tmp_path / "plain-file"
-        blocker.write_text("")
-        for cache_dir in (blocker, blocker / "sub"):
-            r = run("sieve", "--limit", 150, "--cache-dir", cache_dir)
-            assert r.returncode == 2
-            assert r.stdout == ""
-            assert r.stderr == f"error: --cache-dir {cache_dir} is not a writable directory\n"
-
-    def test_limit_above_bound(self, tmp_path):
-        r = run("sieve", "--limit", 10**11, "--no-cache", cache=tmp_path,
+    def test_limit_above_bound(self):
+        r = run("sieve", "--limit", 10**11, "--no-cache",
                 preexec_fn=cap_address_space)
         assert_usage_error(r, f"--limit must be <= {10**7}, got {10**11}")
-        assert list(tmp_path.glob("*")) == []
 
     def test_no_cache_writes_nothing(self, tmp_path):
-        run("sieve", "--limit", 100, "--no-cache", cache=tmp_path)
-        assert list(tmp_path.glob("*")) == []
+        # --no-cache is accepted and ignored: no run writes a file
+        env = {**os.environ, "HOME": str(tmp_path)}
+        for flags in ((), ("--no-cache",)):
+            assert run("sieve", "--limit", 100, *flags, env=env).returncode == 0
+        assert list(tmp_path.rglob("*")) == []
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self):
         outs = {
             run(
                 "sieve", "--limit", 3000, "--no-cache", "--format", "csv",
-                "--jobs", j, cache=tmp_path,
+                "--jobs", j,
             ).stdout
             for j in (1, 2, 8)
         }
@@ -181,15 +183,15 @@ class TestSieve:
 
 
 class TestWitness46:
-    def test_default_prime_seven(self, tmp_path):
-        r = run("witness46", cache=tmp_path)
+    def test_default_prime_seven(self):
+        r = run("witness46")
         assert r.returncode == 0
         assert "adjacency checks: 24/24 passed" in r.stdout
         assert "identity checks: 24/24 passed" in r.stdout
         assert "result: PASS" in r.stdout
 
-    def test_json_format_parses(self, tmp_path):
-        r = run("witness46", "--format", "json", cache=tmp_path)
+    def test_json_format_parses(self):
+        r = run("witness46", "--format", "json")
         data = json.loads(r.stdout)
         assert data["p"] == 7 and data["t"] == 4
         assert data["modulus"] == [5, 0, 0, 1]
@@ -197,28 +199,28 @@ class TestWitness46:
         assert data["verified"] is True
         assert "24/24" in r.stderr
 
-    def test_ten_distinct_vertices(self, tmp_path):
-        data = json.loads(run("witness46", "--format", "json", cache=tmp_path).stdout)
+    def test_ten_distinct_vertices(self):
+        data = json.loads(run("witness46", "--format", "json").stdout)
         seen = {(tuple(v["alpha"]), v["a"]) for v in data["L"] + data["R"]}
         assert len(seen) == 10
 
-    def test_non_qualifying_rejected(self, tmp_path):
-        r = run("witness46", "--p", 13, cache=tmp_path)
+    def test_non_qualifying_rejected(self):
+        r = run("witness46", "--p", 13)
         assert r.returncode == 1
         assert r.stdout.startswith("not qualifying:")
 
-    def test_composite_rejected(self, tmp_path):
-        r = run("witness46", "--p", 8, cache=tmp_path)
+    def test_composite_rejected(self):
+        r = run("witness46", "--p", 8)
         assert r.returncode == 1
         assert "not qualifying" in r.stdout
 
-    def test_larger_qualifying_prime(self, tmp_path):
-        assert run("witness46", "--p", 37, cache=tmp_path).returncode == 0
+    def test_larger_qualifying_prime(self):
+        assert run("witness46", "--p", 37).returncode == 0
 
-    def test_above_root_scan_guard(self, tmp_path):
+    def test_above_root_scan_guard(self):
         # 4194433, the first qualifying prime above 2^22, where roots were
         # once found by scanning F_p and refused
-        r = run("witness46", "--p", 4194433, cache=tmp_path, timeout=60)
+        r = run("witness46", "--p", 4194433, timeout=60)
         assert r.returncode == 0
         assert r.stdout.splitlines()[-3:] == [
             "adjacency checks: 24/24 passed",
@@ -231,15 +233,14 @@ class TestWitness46:
         # p, so building and re-verifying the witness takes well under a
         # second
         out = tmp_path / "w.json"
-        r = run("witness46", "--p", 10000000000267, "--output", out,
-                cache=tmp_path, timeout=60)
+        r = run("witness46", "--p", 10000000000267, "--output", out, timeout=60)
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "adjacency checks: 24/24 passed",
             "identity checks: 24/24 passed",
             "result: PASS",
         ]
-        r = run("verify", out, cache=tmp_path, timeout=60)
+        r = run("verify", out, timeout=60)
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "witness kind: canonical 4x6",
@@ -248,8 +249,8 @@ class TestWitness46:
             "result: PASS",
         ]
 
-    def test_all_orderings(self, tmp_path):
-        r = run("witness46", "--all-orderings", cache=tmp_path)
+    def test_all_orderings(self):
+        r = run("witness46", "--all-orderings")
         assert r.returncode == 0
         ordering_lines = [
             ln for ln in r.stdout.splitlines() if ln.startswith("root ordering")
@@ -259,25 +260,24 @@ class TestWitness46:
 
     def test_output_file_then_verify(self, tmp_path):
         out = tmp_path / "w.json"
-        r = run("witness46", "--output", out, cache=tmp_path)
+        r = run("witness46", "--output", out)
         assert r.returncode == 0
-        v = run("verify", out, cache=tmp_path)
+        v = run("verify", out)
         assert v.returncode == 0
         assert "canonical 4x6" in v.stdout
         assert "result: PASS" in v.stdout
 
 
 class TestCensus:
-    def test_exhaustive_p3_t4(self, tmp_path):
-        r = run("census", "--p", 3, "--t", 4, "--k", 4, cache=tmp_path)
+    def test_exhaustive_p3_t4(self):
+        r = run("census", "--p", 3, "--t", 4, "--k", 4)
         assert r.returncode == 0
         assert "max common neighbors over 4-subsets: 4" in r.stdout
         assert "within bound" in r.stdout
 
-    def test_exhaustive_p5_t3_json(self, tmp_path):
+    def test_exhaustive_p5_t3_json(self):
         r = run(
             "census", "--p", 5, "--t", 3, "--k", 3, "--format", "json",
-            cache=tmp_path,
         )
         data = json.loads(r.stdout)
         assert data["max_common"] == 2
@@ -285,25 +285,25 @@ class TestCensus:
         assert data["within_bound"] is True
         assert r.returncode == 0
 
-    def test_infeasible_exhaustive_needs_sample(self, tmp_path):
-        r = run("census", "--p", 7, "--t", 4, "--k", 4, cache=tmp_path)
+    def test_infeasible_exhaustive_needs_sample(self):
+        r = run("census", "--p", 7, "--t", 4, "--k", 4)
         assert r.returncode == 2
         assert "--sample" in r.stderr
 
-    def test_sampled_with_planted_witness(self, tmp_path):
+    def test_sampled_with_planted_witness(self):
         r = run(
             "census", "--p", 7, "--t", 4, "--k", 4, "--sample",
-            "--trials", 2000, cache=tmp_path,
+            "--trials", 2000,
         )
         assert r.returncode == 0
         assert "planted=witness-quadruple" in r.stdout
         assert "max common neighbors over 4-subsets: 6" in r.stdout
 
     @pytest.mark.parametrize("trials", [0, -5])
-    def test_sample_needs_a_trial(self, tmp_path, trials):
+    def test_sample_needs_a_trial(self, trials):
         r = run(
             "census", "--p", 3, "--t", 3, "--k", 3, "--sample",
-            "--trials", trials, cache=tmp_path,
+            "--trials", trials,
         )
         assert r.returncode == 2
         assert r.stdout == ""
@@ -326,70 +326,69 @@ class TestCensus:
             f"over the budget of {graph.CENSUS_BUDGET}\n"
         )
 
-    def test_trials_at_budget_run(self, tmp_path):
+    def test_trials_at_budget_run(self):
         argv = ["census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--budget", 40]
-        r = run(*argv, "--trials", 40, cache=tmp_path)
+        r = run(*argv, "--trials", 40)
         assert r.returncode == 0
         assert "mode: sample trials=40 seed=0" in r.stdout
-        r = run(*argv, "--trials", 41, cache=tmp_path)
+        r = run(*argv, "--trials", 41)
         assert_usage_error(r, "sampled census needs 41 trials, over the budget of 40")
 
     @pytest.mark.parametrize("p,t", [(4, 3), (4, 4), (9, 4), (4, 5)])
-    def test_composite_p_reported_as_such(self, tmp_path, p, t):
-        r = run("census", "--p", p, "--t", t, "--k", 3, cache=tmp_path)
+    def test_composite_p_reported_as_such(self, p, t):
+        r = run("census", "--p", p, "--t", t, "--k", 3)
         assert r.returncode == 2
         assert r.stderr == f"error: p must be prime, got {p}\n"
 
     @pytest.mark.parametrize(
         "flags", [["--sample", "--trials", 1], ["--budget", 10**8]]
     )
-    def test_over_memory_guard(self, tmp_path, flags):
+    def test_over_memory_guard(self, flags):
         # P(3,16) has 28697814 vertices, above both guards
-        r = run("census", "--p", 3, "--t", 16, "--k", 1, *flags, cache=tmp_path)
+        r = run("census", "--p", 3, "--t", 16, "--k", 1, *flags)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.startswith("error: census bitsets for 28697814 vertices")
         assert r.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("t", [24, 40, 150])
-    def test_modulus_search_refused_above_enumeration_guard(self, tmp_path, t):
+    def test_modulus_search_refused_above_enumeration_guard(self, t):
         # P(3,t) has over 2^(t-1) > 2^22 vertices, refused before the
         # degree t-1 modulus search, whose cost grows with 3^(t-1)
         r = run("census", "--p", 3, "--t", t, "--k", 1, "--sample", "--trials", 1,
-                cache=tmp_path, timeout=60)
+                timeout=60)
         assert_usage_error(
             r, f"P(3,{t}) has at least 2^{t - 1} vertices, above the enumeration "
             "guard 4194304"
         )
 
-    def test_k_not_t_skips_bound(self, tmp_path):
-        r = run("census", "--p", 3, "--t", 4, "--k", 2, cache=tmp_path)
+    def test_k_not_t_skips_bound(self):
+        r = run("census", "--p", 3, "--t", 4, "--k", 2)
         assert r.returncode == 0
         assert "bound" not in r.stdout
 
-    def test_bad_graph_params(self, tmp_path):
-        assert run("census", "--p", 4, "--t", 4, "--k", 4, cache=tmp_path).returncode == 2
-        assert run("census", "--p", 3, "--t", 4, "--k", 0, cache=tmp_path).returncode == 2
-        assert run("census", "--p", 3, "--t", 4, "--k", 55, cache=tmp_path).returncode == 2
+    def test_bad_graph_params(self):
+        assert run("census", "--p", 4, "--t", 4, "--k", 4).returncode == 2
+        assert run("census", "--p", 3, "--t", 4, "--k", 0).returncode == 2
+        assert run("census", "--p", 3, "--t", 4, "--k", 55).returncode == 2
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self):
         outs = {
             run(
                 "census", "--p", 3, "--t", 4, "--k", 4, "--jobs", j,
-                cache=tmp_path,
             ).stdout
             for j in (1, 2)
         }
         assert len(outs) == 1
 
-    def test_sample_seed_changes_draws(self, tmp_path):
+    def test_sample_seed_changes_draws(self):
         a = run(
             "census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--trials", 50,
-            "--seed", 0, "--format", "json", cache=tmp_path,
+            "--seed", 0, "--format", "json",
         )
         b = run(
             "census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--trials", 50,
-            "--seed", 1, "--format", "json", cache=tmp_path,
+            "--seed", 1, "--format", "json",
         )
         assert json.loads(a.stdout)["seed"] == 0
         assert json.loads(b.stdout)["seed"] == 1
@@ -400,78 +399,75 @@ class TestVerify:
         out = tmp_path / "g.json"
         r = run(
             "witness-general", "--t", 4, "--m", 2, "--limit", 20,
-            "--output", out, cache=tmp_path,
+            "--output", out,
         )
         assert r.returncode == 0
-        v = run("verify", out, cache=tmp_path)
+        v = run("verify", out)
         assert v.returncode == 0
         assert "general 3x2" in v.stdout
 
     def test_byte_edited_general_fails(self, tmp_path):
         out = tmp_path / "g.json"
-        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out,
-            cache=tmp_path)
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out)
         data = json.loads(out.read_text())
         data["B"][0]["a"] = data["B"][0]["a"] % (data["p"] - 1) + 1
         out.write_text(json.dumps(data))
-        assert run("verify", out, cache=tmp_path).returncode == 1
+        assert run("verify", out).returncode == 1
 
     def test_shift_tamper_reducible_modulus_fails(self, tmp_path):
         out = tmp_path / "g.json"
-        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out,
-            cache=tmp_path)
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out)
         data = json.loads(out.read_text())
         data["r"] = 10  # x^3 - x + 6 - 10 has a root mod 17
         out.write_text(json.dumps(data))
-        v = run("verify", out, cache=tmp_path)
+        v = run("verify", out)
         assert v.returncode == 1
         assert "witness invalid" in v.stdout
 
     def test_truncated_file(self, tmp_path):
         out = tmp_path / "w.json"
-        run("witness46", "--output", out, cache=tmp_path)
+        run("witness46", "--output", out)
         out.write_text(out.read_text()[:100])
-        assert run("verify", out, cache=tmp_path).returncode == 2
+        assert run("verify", out).returncode == 2
 
     def test_missing_file(self, tmp_path):
-        assert run("verify", tmp_path / "absent.json", cache=tmp_path).returncode == 2
+        assert run("verify", tmp_path / "absent.json").returncode == 2
 
     def test_non_object_json(self, tmp_path):
         out = tmp_path / "arr.json"
         out.write_text("[1, 2, 3]")
-        assert run("verify", out, cache=tmp_path).returncode == 2
+        assert run("verify", out).returncode == 2
 
     def test_unrecognized_schema(self, tmp_path):
         out = tmp_path / "odd.json"
         out.write_text(json.dumps({"hello": "world"}))
-        assert run("verify", out, cache=tmp_path).returncode == 2
+        assert run("verify", out).returncode == 2
 
     def test_out_of_range_vertex_is_malformed(self, tmp_path):
         out = tmp_path / "w.json"
-        run("witness46", "--output", out, cache=tmp_path)
+        run("witness46", "--output", out)
         data = json.loads(out.read_text())
         data["R"][0]["alpha"][0] = 7
         out.write_text(json.dumps(data))
-        assert run("verify", out, cache=tmp_path).returncode == 2
+        assert run("verify", out).returncode == 2
 
     def test_boolean_for_integer_is_malformed(self, tmp_path):
         # the p=7 witness has a = 1 on its first right vertex, and JSON true
         # would pass for 1 if booleans counted as integers
         out = tmp_path / "w.json"
-        run("witness46", "--output", out, cache=tmp_path)
+        run("witness46", "--output", out)
         data = json.loads(out.read_text())
         assert data["R"][0]["a"] == 1
         data["R"][0]["a"] = True
         out.write_text(json.dumps(data))
-        r = run("verify", out, cache=tmp_path)
+        r = run("verify", out)
         assert r.returncode == 2
         assert "malformed vertex in R" in r.stderr
 
     @pytest.mark.parametrize("field", ["vertex", "theta"])
     def test_boolean_in_general_witness_is_malformed(self, tmp_path, field):
         out = tmp_path / "g.json"
-        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out,
-            cache=tmp_path)
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", out)
         data = json.loads(out.read_text())
         if field == "vertex":
             assert data["A"][0]["a"] == 1
@@ -479,20 +475,34 @@ class TestVerify:
         else:
             data["thetas"][0] = True
         out.write_text(json.dumps(data))
-        assert run("verify", out, cache=tmp_path).returncode == 2
+        assert run("verify", out).returncode == 2
 
     def test_both_key_sets_take_general_schema(self, tmp_path):
         gen, w46 = tmp_path / "g.json", tmp_path / "w.json"
-        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", gen,
-            cache=tmp_path)
-        run("witness46", "--output", w46, cache=tmp_path)
+        run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", gen)
+        run("witness46", "--output", w46)
         data = {**json.loads(w46.read_text()), **json.loads(gen.read_text())}
         assert set(data) >= set(general.WITNESS_KEYS) | set(graph.WITNESS_KEYS)
         out = tmp_path / "both.json"
         out.write_text(json.dumps(data))
-        r = run("verify", out, cache=tmp_path)
+        r = run("verify", out)
         assert r.returncode == 0
         assert r.stdout.startswith("witness kind: general 3x2\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["witness46"], ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]],
+        ids=["graph", "general"],
+    )
+    def test_p_at_psi_12_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "w.json"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        out.write_text(json.dumps({**json.loads(out.read_text()), "p": PSI_12}))
+        capsys.readouterr()
+        assert cli.main(["verify", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: p must be < {PSI_12}, got {PSI_12}\n"
 
     def test_plain_graph_biclique(self, tmp_path):
         G = make_graph(3, 3)
@@ -500,7 +510,7 @@ class TestVerify:
         v = G.common_neighbors([u])[0]
         out = tmp_path / "pair.json"
         out.write_text(json.dumps(witness_to_json(G, [u], [v], True)))
-        r = run("verify", out, cache=tmp_path)
+        r = run("verify", out)
         assert r.returncode == 0
         assert "graph biclique" in r.stdout
 
@@ -539,7 +549,7 @@ class TestVerify:
         }
         out = tmp_path / "big.json"
         out.write_text(json.dumps(data))
-        r = run("verify", out, cache=tmp_path, timeout=60)
+        r = run("verify", out, timeout=60)
         assert r.returncode == 1
         lines = r.stdout.splitlines()
         assert lines[0] == "witness kind: canonical 4x6"
@@ -550,7 +560,7 @@ class TestVerify:
         u = G.vertex_from_id(0)
         out = tmp_path / "loop.json"
         out.write_text(json.dumps(witness_to_json(G, [u], [u], True)))
-        r = run("verify", out, cache=tmp_path)
+        r = run("verify", out)
         assert r.returncode == 1
         assert "not disjoint" in r.stdout
 
@@ -558,7 +568,7 @@ class TestVerify:
 class TestExport:
     def test_p3_t3_to_file(self, tmp_path):
         out = tmp_path / "edges.txt"
-        r = run("export", "--p", 3, "--t", 3, "--output", out, cache=tmp_path)
+        r = run("export", "--p", 3, "--t", 3, "--output", out)
         assert r.returncode == 0
         assert r.stdout.splitlines() == ["vertices: 18", "edges: 68"]
         lines = out.read_text().splitlines()
@@ -567,88 +577,86 @@ class TestExport:
         assert all(u < v for u, v in pairs)
         assert pairs == sorted(pairs)
 
-    def test_stdout_mode(self, tmp_path):
-        r = run("export", "--p", 3, "--t", 3, cache=tmp_path)
+    def test_stdout_mode(self):
+        r = run("export", "--p", 3, "--t", 3)
         assert len(r.stdout.splitlines()) == 68
         assert "vertices: 18" in r.stderr
 
     def test_p3_t4_vertex_count(self, tmp_path):
         out = tmp_path / "edges.txt"
-        r = run("export", "--p", 3, "--t", 4, "--output", out, cache=tmp_path)
+        r = run("export", "--p", 3, "--t", 4, "--output", out)
         assert "vertices: 54" in r.stdout
 
-    def test_size_guard(self, tmp_path):
-        assert run("export", "--p", 101, "--t", 4, cache=tmp_path).returncode == 2
+    def test_size_guard(self):
+        assert run("export", "--p", 101, "--t", 4).returncode == 2
 
     def test_size_guard_before_output(self, tmp_path):
         out = tmp_path / "f"
-        r = run("export", "--p", 101, "--t", 4, "--output", out, cache=tmp_path)
+        r = run("export", "--p", 101, "--t", 4, "--output", out)
         assert_usage_error(
             r, "graph has 103030100 vertices, above the enumeration guard 4194304"
         )
         assert not out.exists()
 
-    def test_bad_params(self, tmp_path):
-        assert run("export", "--p", 6, "--t", 3, cache=tmp_path).returncode == 2
+    def test_bad_params(self):
+        assert run("export", "--p", 6, "--t", 3).returncode == 2
 
     def test_modulus_search_refused_above_enumeration_guard(self, tmp_path):
         out = tmp_path / "f"
-        r = run("export", "--p", 3, "--t", 40, "--output", out, cache=tmp_path,
+        r = run("export", "--p", 3, "--t", 40, "--output", out,
                 timeout=60)
         assert_usage_error(
             r, "P(3,40) has at least 2^39 vertices, above the enumeration guard 4194304"
         )
         assert not out.exists()
 
-    def test_composite_p_reported_as_such(self, tmp_path):
-        r = run("export", "--p", 6, "--t", 3, cache=tmp_path)
+    def test_composite_p_reported_as_such(self):
+        r = run("export", "--p", 6, "--t", 3)
         assert r.stderr == "error: p must be prime, got 6\n"
 
 
 class TestWitnessGeneral:
-    def test_single_result_json(self, tmp_path):
-        r = run("witness-general", "--t", 4, "--m", 2, "--limit", 20, cache=tmp_path)
+    def test_single_result_json(self):
+        r = run("witness-general", "--t", 4, "--m", 2, "--limit", 20)
         assert r.returncode == 0
         data = json.loads(r.stdout)
         assert (data["p"], data["r"]) == (17, 8)
         assert data["thetas"] == [6, 11]
         assert data["verified"] is True
 
-    def test_all_results_array(self, tmp_path):
+    def test_all_results_array(self):
         r = run(
             "witness-general", "--t", 4, "--m", 2, "--limit", 20, "--all",
-            cache=tmp_path,
         )
         data = json.loads(r.stdout)
         assert [(d["p"], d["r"]) for d in data] == [(17, 8), (17, 9)]
         assert all(d["verified"] for d in data)
 
-    def test_empty_search_exits_one(self, tmp_path):
-        r = run("witness-general", "--t", 4, "--m", 2, "--limit", 10, cache=tmp_path)
+    def test_empty_search_exits_one(self):
+        r = run("witness-general", "--t", 4, "--m", 2, "--limit", 10)
         assert r.returncode == 1
         assert "no parameters found" in r.stderr
 
-    def test_text_format(self, tmp_path):
+    def test_text_format(self):
         r = run(
             "witness-general", "--t", 4, "--m", 2, "--limit", 20,
-            "--format", "text", cache=tmp_path,
+            "--format", "text",
         )
         assert r.stdout.splitlines() == ["t=4 m=2 p=17 r=8 verified=True"]
 
-    def test_limit_above_bound(self, tmp_path):
+    def test_limit_above_bound(self):
         r = run("witness-general", "--t", 4, "--m", 2, "--limit", 10**11,
-                cache=tmp_path, preexec_fn=cap_address_space)
+                preexec_fn=cap_address_space)
         assert_usage_error(r, f"--limit must be <= {10**7}, got {10**11}")
 
-    def test_bad_t_is_usage_error(self, tmp_path):
-        assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20,
-                   cache=tmp_path).returncode == 2
+    def test_bad_t_is_usage_error(self):
+        assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20).returncode == 2
 
-    def test_deterministic_across_jobs(self, tmp_path):
+    def test_deterministic_across_jobs(self):
         outs = {
             run(
                 "witness-general", "--t", 4, "--m", 1, "--limit", 60, "--all",
-                "--jobs", j, cache=tmp_path,
+                "--jobs", j,
             ).stdout
             for j in (1, 2, 8)
         }

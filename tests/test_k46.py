@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import random
 from collections import Counter
@@ -10,10 +12,10 @@ from normgraph.k46 import (
     DegeneracyError,
     QualifyingCertificate,
     Rejection,
+    SieveRow,
     build_witness,
     is_qualifying_prime,
     qualifying_verdict,
-    sieve_from_csv,
     sieve_qualifying,
     sieve_summary,
     sieve_to_csv,
@@ -119,16 +121,22 @@ class TestSieve:
 
     def test_csv_roundtrip(self):
         res = sieve_qualifying(100)
-        text = sieve_to_csv(res)
-        assert text.startswith("p,qualifying,reason\n")
-        back = sieve_from_csv(text, 100)
-        assert back.rows == res.rows
+        header, *rows = csv.reader(io.StringIO(sieve_to_csv(res)))
+        assert header == ["p", "qualifying", "reason"]
+        back = [SieveRow(int(p), q == "1", reason) for p, q, reason in rows]
+        assert back == res.rows
 
-    def test_csv_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            sieve_from_csv("nope\n", 10)
-        with pytest.raises(ValueError):
-            sieve_from_csv("p,qualifying,reason\n7,maybe,x\n", 10)
+    def test_rows_need_no_second_primality_test(self, monkeypatch):
+        # the Eratosthenes list certifies each row; a single p is still tested
+        base = sieve_qualifying(3000)
+
+        def forbidden(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(k46, "is_prime", forbidden)
+        assert sieve_qualifying(3000).rows == base.rows
+        monkeypatch.undo()
+        assert qualifying_verdict(91) == (False, "91 is not prime")
 
     def test_reason_counts_to_2e5(self):
         res = sieve_qualifying(200000)

@@ -17,6 +17,7 @@ from normgraph.polys import (
     poly_monic,
     poly_mul,
     poly_pow_mod,
+    poly_sub,
     poly_trim,
     power_residue,
     primitive_nth_root,
@@ -33,6 +34,12 @@ def scan_roots(h, p):
     h = poly_trim([c % p for c in h])
     sq = poly_gcd(h, poly_deriv(h, p), p)
     return {x: poly_eval(sq, x, p) == 0 for x in range(p) if poly_eval(h, x, p) == 0}
+
+
+def gcd_coprime(h, p):
+    """Reference: h coprime to x^p - x, by the generic poly_gcd."""
+    xp = poly_pow_mod([0, 1], p, h, p)
+    return len(poly_gcd(poly_sub(xp, [0, 1], p), h, p)) == 1
 
 
 def scan_primitive_root(n, p):
@@ -132,7 +139,8 @@ class TestCubicPowMod:
             h = self.random_cubic(rng, p)
             base = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(8))]
             e = rng.choice([0, 1, 2, 3, p, p + 1, rng.randrange(4 * p), rng.randrange(p**3)])
-            assert poly_pow_mod(base, e, h, p) == naive_pow_mod(base, e, h, p)
+            for b in (base, [0, 1]):
+                assert poly_pow_mod(b, e, h, p) == naive_pow_mod(b, e, h, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_repeated_multiplication(self, p):
@@ -184,12 +192,23 @@ class TestIrreducibility:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_cubic_agrees_with_root_scan(self, p):
-        # for degree <= 3 irreducibility is exactly root-freeness
+        # for degree <= 3 irreducibility is exactly root-freeness, and the
+        # cubic's coprimality test agrees with the generic poly_gcd
         for n in range(p**3):
             c0, c1, c2 = n % p, n // p % p, n // p // p % p
             h = [c0, c1, c2, 1]
             has_root = any(poly_eval(h, x, p) == 0 for x in range(p))
-            assert is_irreducible(h, p) == (not has_root)
+            assert is_irreducible(h, p) == (not has_root) == gcd_coprime(h, p)
+
+    @pytest.mark.parametrize("p", [10007, 999983])
+    def test_unreduced_cubic_agrees_with_gcd(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            h = TestCubicPowMod.random_cubic(rng, p)
+            irreducible = is_irreducible(h, p)
+            assert irreducible == gcd_coprime(h, p)
+            if p < 10**5:
+                assert irreducible == all(poly_eval(h, x, p) for x in range(p))
 
     def test_quadratic_and_higher(self):
         assert is_irreducible([1, 0, 1], 7) is True  # x^2 + 1, -1 non-square mod 7

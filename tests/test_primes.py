@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from normgraph.primes import SIEVE_LIMIT, is_prime, prime_factors, primes_up_to
+from normgraph.primes import PSI_12, SIEVE_LIMIT, is_prime, prime_factors, primes_up_to
 
 
 def test_is_prime_small():
@@ -32,10 +32,19 @@ def test_is_prime_larger():
 
 
 def test_primes_up_to_matches_is_prime():
-    ps = primes_up_to(2000)
-    assert ps == [n for n in range(2001) if is_prime(n)]
+    # the sieve's rows take their primality from this list alone
+    ps = primes_up_to(10**5)
+    assert ps == [n for n in range(10**5 + 1) if is_prime(n)]
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
+
+
+def test_is_prime_refuses_psi_12():
+    # PSI_12 = 399165290221 * 798330580441 passes all twelve bases
+    assert PSI_12 == 399165290221 * 798330580441
+    for n in (PSI_12, PSI_12 + 2):
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(n)
 
 
 def test_primes_up_to_count():
