@@ -9,6 +9,7 @@ so every returned parameter set is verified rather than promised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ff import ExtElement, ExtField
@@ -114,14 +115,19 @@ def find_parameters(
         raise ValueError(f"m must be >= 1, got {m}")
     tasks = [(t, m, p) for p in primes_up_to(prime_limit)]
     found: list[GeneralParams] = []
-    for group in chunk_list(tasks, jobs):
-        for result in run_tasks(_scan_prime, group, jobs):
-            found.extend(result)
-        if max_results is not None and len(found) >= max_results:
-            break
-    if max_results is not None:
-        found = found[:max_results]
-    return found
+    # a bounded search scans doubling blocks of primes (64, 128, ...), the
+    # same for every jobs, and stops after the block that fills the quota;
+    # an unbounded one scans all primes as one block
+    quota = math.inf if max_results is None else max_results
+    start, size = 0, len(tasks) if max_results is None else 64
+    while start < len(tasks) and len(found) < quota:
+        for group in chunk_list(tasks[start : start + size], jobs):
+            for result in run_tasks(_scan_prime, group, jobs):
+                found.extend(result)
+            if len(found) >= quota:
+                break
+        start, size = start + size, 2 * size
+    return found[:max_results]
 
 
 def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitness:

@@ -10,6 +10,7 @@ subgraph, verified both as graph adjacencies and as closed-form identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
 from .graph import NormGraph, Vertex, WitnessReport, make_graph
@@ -157,8 +158,7 @@ def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
 # -- the sieve ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SieveRow:
+class SieveRow(NamedTuple):
     p: int
     qualifying: bool
     reason: str

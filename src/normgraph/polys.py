@@ -303,24 +303,13 @@ def _ext_trim(h: list[ExtElement], F: ExtField) -> list[ExtElement]:
     return h
 
 
-def _ext_mul(a, b, F: ExtField) -> list[ExtElement]:
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != F.zero:
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return _ext_trim(out, F)
-
-
 def _ext_divmod(a, b, F: ExtField):
     a, b = _ext_trim(a, F), _ext_trim(b, F)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], a
-    inv_lead = F.inv(b[-1])
+    inv_lead = F.one if b[-1] == F.one else F.inv(b[-1])
     rem = a[:]
     q = [F.zero] * (len(a) - len(b) + 1)
     for d in range(len(a) - len(b), -1, -1):
@@ -336,6 +325,8 @@ def _ext_monic(h, F: ExtField) -> list[ExtElement]:
     h = _ext_trim(h, F)
     if not h:
         return []
+    if h[-1] == F.one:
+        return h
     inv_lead = F.inv(h[-1])
     return [F.mul(c, inv_lead) for c in h]
 
@@ -347,15 +338,58 @@ def _ext_gcd(a, b, F: ExtField) -> list[ExtElement]:
     return _ext_monic(a, F)
 
 
-def _ext_pow_mod(base, e: int, h, F: ExtField) -> list[ExtElement]:
-    result = [F.one]
-    base = _ext_divmod(base, h, F)[1]
-    while e:
-        if e & 1:
-            result = _ext_divmod(_ext_mul(result, base, F), h, F)[1]
-        base = _ext_divmod(_ext_mul(base, base, F), h, F)[1]
-        e >>= 1
-    return result
+def _ext_prod(a, b, F: ExtField):
+    # a*b in F for coefficient lists whose ints may be unreduced.  F.mul
+    # serves every k but 3, whose body is written out as in _cubic_pow_mod.
+    if F.k != 3:
+        return F.mul(a, b)
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    f0, f1, f2, _ = F.modulus
+    p = F.p
+    d4 = a2 * b2 % p
+    d3 = (a1 * b2 + a2 * b1 - d4 * f2) % p
+    d2 = a0 * b2 + a1 * b1 + a2 * b0 - d4 * f1 - d3 * f2
+    d1 = a0 * b1 + a1 * b0 - d4 * f0 - d3 * f1
+    return [(a0 * b0 - d3 * f0) % p, d1 % p, d2 % p]
+
+
+def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField):
+    """(x + delta)^e mod w over F, for monic w of degree n >= 2 and e >= 1.
+
+    Left to right, so every multiply is by the two-term base: a shift plus
+    delta times each coefficient.  A square takes the n(n+1)/2 symmetric
+    products.  x^n == -(w_0 + ... + w_(n-1) x^(n-1)) folds the top terms
+    with no inverse; zero w_j are skipped and a base-field w_j scales.
+    Coefficients stay int lists, reduced mod p once per step."""
+    p, n = F.p, len(w) - 1
+    fold = [(j, [-x for x in c], None if any(c[1:]) else -c[0])
+            for j, c in enumerate(w[:-1]) if any(c)]
+
+    def add(u, v):
+        return [x + y for x, y in zip(u, v)]
+
+    def fold_top(s):
+        for d in range(len(s) - 1, n - 1, -1):
+            c = [x % p for x in s[d]]
+            for j, m, scalar in fold:
+                u = _ext_prod(c, m, F) if scalar is None else [scalar * x for x in c]
+                s[d - n + j] = add(s[d - n + j], u)
+        return [[x % p for x in c] for c in s[:n]]
+
+    r = [delta, F.one] + [F.zero] * (n - 2)
+    for bit in bin(e)[3:]:
+        s = [F.zero] * (2 * n - 1)
+        for i, ri in enumerate(r):
+            s[2 * i] = add(s[2 * i], _ext_prod(ri, ri, F))
+            ri2 = [2 * x for x in ri]
+            for j in range(i + 1, n):
+                s[i + j] = add(s[i + j], _ext_prod(ri2, r[j], F))
+        r = fold_top(s)
+        if bit == "1":
+            s = [add(u, _ext_prod(delta, v, F)) for u, v in zip([F.zero] + r, r)]
+            r = fold_top(s + [r[-1]])
+    return _ext_trim([tuple(c) for c in r], F)
 
 
 def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
@@ -383,7 +417,7 @@ def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
             )
         attempts += 1
         delta = F.element_from_index(rng.randrange(F.order()))
-        s = _ext_pow_mod([delta, F.one], e, w, F)
+        s = _linear_pow_mod(delta, e, w, F)
         if s:
             s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
         else:

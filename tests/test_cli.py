@@ -652,6 +652,16 @@ class TestWitnessGeneral:
     def test_bad_t_is_usage_error(self):
         assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20).returncode == 2
 
+    def test_first_result_same_across_jobs(self):
+        outs = [
+            run("witness-general", "--t", 4, "--m", 2, "--limit", 20000, "--jobs", j)
+            for j in (1, 2)
+        ]
+        assert outs[0].returncode == 0
+        assert outs[0].stdout == outs[1].stdout
+        data = json.loads(outs[0].stdout)
+        assert (data["p"], data["r"]) == (17, 8)
+
     def test_deterministic_across_jobs(self):
         outs = {
             run(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from normgraph import general
 from normgraph.ff import ExtField
 from normgraph.general import (
     GeneralParams,
@@ -16,10 +17,23 @@ from normgraph.general import (
 )
 from normgraph.graph import Vertex
 from normgraph.polys import eval_in_ext, poly_eval, poly_gcd
+from normgraph.primes import primes_up_to
 
 
 def pairs(results):
     return [(g.p, g.r) for g in results]
+
+
+def count_scans(monkeypatch) -> list[int]:
+    """Record the prime of every in-process general._scan_prime call."""
+    scanned, scan = [], general._scan_prime
+
+    def counted(task):
+        scanned.append(task[2])
+        return scan(task)
+
+    monkeypatch.setattr(general, "_scan_prime", counted)
+    return scanned
 
 
 class TestFindParameters:
@@ -62,6 +76,26 @@ class TestFindParameters:
     def test_max_results_consistent_under_jobs(self):
         full = find_parameters(4, 2, 100)
         assert find_parameters(4, 2, 100, max_results=4, jobs=2) == full[:4]
+
+    def test_first_result_scans_one_block(self, monkeypatch):
+        # the answer p = 17 lies in the first block of 64 primes, so the
+        # rest of the 2262 primes up to 20000 are never scanned
+        scanned = count_scans(monkeypatch)
+        assert pairs(find_parameters(4, 2, 20000, max_results=1)) == [(17, 8)]
+        assert 0 < len(scanned) <= 64
+
+    def test_quota_past_first_block(self, monkeypatch):
+        full = find_parameters(4, 2, 700)
+        n = 1 + sum(g.p <= primes_up_to(700)[63] for g in full)
+        assert find_parameters(4, 2, 2000, max_results=n, jobs=2) == full[:n]
+        scanned = count_scans(monkeypatch)
+        assert find_parameters(4, 2, 2000, max_results=n) == full[:n]
+        assert scanned == primes_up_to(2000)[: 64 + 128]
+
+    def test_all_is_one_pass(self, monkeypatch):
+        scanned = count_scans(monkeypatch)
+        find_parameters(4, 2, 700)
+        assert scanned == primes_up_to(700)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

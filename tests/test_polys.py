@@ -3,7 +3,9 @@ import random
 import pytest
 
 from normgraph.ff import ExtField
+from normgraph.general import shifted_poly
 from normgraph.polys import (
+    _linear_pow_mod,
     discriminant,
     eval_in_ext,
     find_root_in_ext,
@@ -284,6 +286,35 @@ class TestRoots:
                 assert poly_eval(h, x, p) == 0
 
 
+def naive_ext_pow_mod(base, e, w, F):
+    """Reference power in F[x]/(w) for monic w: right-to-left
+    square-and-multiply on whole lists, every coefficient formed by F.mul and
+    F.add, every product reduced by subtracting multiples of w."""
+    n = len(w) - 1
+
+    def mulmod(a, b):
+        out = [F.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+        for d in range(len(out) - 1, n - 1, -1):
+            c = out[d]
+            for j in range(n + 1):
+                out[d - n + j] = F.sub(out[d - n + j], F.mul(c, w[j]))
+        return out[:n]
+
+    result = [F.one] + [F.zero] * (n - 1)
+    base = list(base) + [F.zero] * (n - len(base))
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    while result and result[-1] == F.zero:
+        result.pop()
+    return result
+
+
 class TestRootExtraction:
     def test_defining_cubic(self):
         F = ExtField(7, 3, [-2, 0, 0, 1])
@@ -323,6 +354,74 @@ class TestRootExtraction:
         F = ExtField(7, 3, [-2, 0, 0, 1])
         with pytest.raises(ValueError):
             find_root_in_ext([1, 0, 1], F, seed=0)
+
+    # seed-0 roots of every theta_i for the first parameter sets that
+    # find_parameters returns at (t, m) = (4, 2), (4, 3), (5, 2) and (6, 2),
+    # recorded before root extraction moved to int lists: (t, p, r, thetas,
+    # roots).  They pin the seed-0 witness-general output.
+    PINNED = [
+        (4, 17, 8, (6, 11), ((0, 1, 0), (12, 5, 16))),
+        (4, 17, 9, (6, 11), ((9, 5, 12), (4, 12, 11))),
+        (4, 31, 7, (8, 23), ((27, 24, 6), (12, 27, 13))),
+        (4, 31, 24, (8, 23), ((0, 1, 0), (29, 15, 3))),
+        (4, 43, 5, (20, 32, 34), ((35, 33, 12), (16, 3, 19), (38, 5, 29))),
+        (4, 43, 18, (20, 32, 34), ((0, 1, 0), (12, 22, 25), (31, 1, 18))),
+        (4, 109, 36, (57, 58, 103), ((78, 20, 101), (25, 47, 17), (82, 86, 95))),
+        (4, 127, 29, (32, 100, 122), ((103, 98, 36), (83, 31, 66), (74, 14, 16))),
+        (5, 7, 2, (3, 4), ((0, 1, 0, 0), (2, 2, 2, 2))),
+        (5, 73, 12, (32, 41), ((48, 67, 31, 9), (15, 72, 7, 53))),
+        (5, 79, 1, (9, 70), ((23, 25, 32, 22), (30, 37, 7, 39))),
+        (5, 79, 2, (9, 70), ((46, 9, 1, 44), (40, 3, 58, 52))),
+        (6, 17, 0, (6, 11), ((2, 14, 8, 6, 6), (15, 3, 9, 11, 11))),
+        (6, 89, 9, (25, 64), ((48, 65, 72, 48, 29), (23, 36, 23, 59, 38))),
+        (6, 89, 35, (25, 64), ((0, 1, 0, 0, 0), (64, 68, 64, 33, 9))),
+        (6, 89, 54, (25, 64), ((22, 31, 77, 11, 17), (28, 0, 23, 14, 54))),
+    ]
+
+    @pytest.mark.parametrize("t, p, r, thetas, roots", PINNED)
+    def test_pinned_seed0_roots(self, t, p, r, thetas, roots):
+        F = ExtField(p, t - 1, shifted_poly(t, thetas[0], r, p))
+        got = tuple(find_root_in_ext(shifted_poly(t, th, r, p), F, 0) for th in thetas)
+        assert got == roots
+
+    # (p, modulus of degree k, polynomials over F_p that split into distinct
+    # linears over GF(p^k)): irreducibles of degree dividing k and products
+    # of distinct ones
+    SPLITTING = [
+        (5, [1, 1, 0, 1], [[1, 1, 0, 1], [4, 1, 0, 1], poly_mul([1, 2, 0, 1], [3, 1], 5)]),
+        (7, [2, 0, 0, 1], [[2, 0, 0, 1], [3, 0, 0, 1], poly_mul([4, 0, 0, 1], [5, 1], 7)]),
+        (3, [2, 1, 0, 0, 1], [[2, 2, 0, 0, 1], [1, 0, 1], poly_mul([1, 0, 1], [2, 2, 0, 0, 1], 3),
+                              poly_mul([2, 0, 1, 0, 1], [1, 1], 3)]),
+    ]
+
+    @pytest.mark.parametrize("p, modulus, hs", SPLITTING, ids=["5^3", "7^3", "3^4"])
+    def test_seeds_reach_every_root(self, p, modulus, hs):
+        F = ExtField(p, len(modulus) - 1, modulus)
+        for h in hs:
+            want = {a for a in F.elements() if eval_in_ext(h, a, F) == F.zero}
+            assert len(want) == len(h) - 1
+            assert {find_root_in_ext(h, F, s) for s in range(31)} == want
+
+    @pytest.mark.parametrize("p, modulus", [
+        (10007, [5, 1]), (7, [3, 1, 1]), (13, [5, 1, 0, 1]), (5, [4, 0, 0, 1, 1]),
+    ], ids=["k=1", "k=2", "k=3", "k=4"])
+    def test_linear_power_matches_naive_reference(self, p, modulus):
+        F = ExtField(p, len(modulus) - 1, modulus)
+        rng = random.Random(p)
+
+        def element():
+            return F.element_from_index(rng.randrange(F.order()))
+
+        for n in (2, 3, 4):
+            ws = [[element() for _ in range(n)] + [F.one],  # coefficients off the base field
+                  [F.from_base(rng.randrange(p)) for _ in range(n)] + [F.one],
+                  [F.zero] * (n - 1) + [element(), F.one],
+                  [element()] + [F.zero] * (n - 1) + [F.one]]
+            for w in ws:
+                for e in (1, 2, 3, rng.randrange(1, F.order()), (F.order() - 1) // 2):
+                    delta = element()
+                    assert _linear_pow_mod(delta, e, w, F) == naive_ext_pow_mod(
+                        [delta, F.one], e, w, F)
 
 
 class TestResidues:
