@@ -151,8 +151,7 @@ def cmd_census(args) -> int:
         if args.sample:
             planted = _planted_subsets(G, args)
             mx, argmax = G.sample_max_common(
-                args.k, args.trials, args.seed, jobs=args.jobs, planted=planted,
-                budget=args.budget,
+                args.k, args.trials, args.seed, planted=planted, budget=args.budget
             )
             mode = {
                 "mode": "sample",

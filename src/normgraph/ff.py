@@ -68,7 +68,20 @@ class ExtField:
         return tuple((-x) % p for x in a)
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        """a*b; the ints of a and b may be unreduced or negative."""
         p, k, mod = self.p, self.k, self.modulus
+        if k == 3:
+            # written out, as in polys._cubic_pow_mod: a call per product
+            # costs more than the arithmetic, and root extraction in GF(p^3)
+            # is made of these products
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            f0, f1, f2, _ = mod
+            d4 = a2 * b2 % p
+            d3 = (a1 * b2 + a2 * b1 - d4 * f2) % p
+            d2 = a0 * b2 + a1 * b1 + a2 * b0 - d4 * f1 - d3 * f2
+            d1 = a0 * b1 + a1 * b0 - d4 * f0 - d3 * f1
+            return ((a0 * b0 - d3 * f0) % p, d1 % p, d2 % p)
         prod = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:

@@ -21,7 +21,7 @@ from .graph import (
     make_graph,
     vertex_to_obj,
 )
-from .parallel import chunk_list, run_tasks
+from .parallel import run_tasks
 from .polys import (
     find_root_in_ext,
     is_irreducible,
@@ -121,11 +121,8 @@ def find_parameters(
     quota = math.inf if max_results is None else max_results
     start, size = 0, len(tasks) if max_results is None else 64
     while start < len(tasks) and len(found) < quota:
-        for group in chunk_list(tasks[start : start + size], jobs):
-            for result in run_tasks(_scan_prime, group, jobs):
-                found.extend(result)
-            if len(found) >= quota:
-                break
+        for result in run_tasks(_scan_prime, tasks[start : start + size], jobs):
+            found.extend(result)
         start, size = start + size, 2 * size
     return found[:max_results]
 

@@ -9,13 +9,14 @@ graph is small enough.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
-from .parallel import chunk_list, chunk_ranges, run_tasks
+from .parallel import chunk_ranges, run_tasks
 from .polys import is_irreducible
 from .primes import is_prime, prime_factors
 
@@ -315,14 +316,15 @@ class NormGraph:
         k: int,
         trials: int,
         seed: int,
-        jobs: int = 1,
         planted: tuple = (),
         budget: int = CENSUS_BUDGET,
     ) -> tuple[int, tuple[int, ...]]:
-        """Max |common neighborhood| over seeded random k-subsets (plus any
-        planted id-subsets).  Trials are pre-generated from one stream, so
-        the result is identical for every worker count.  Refuses more trials
-        than the budget."""
+        """Max |common neighborhood| over seeded random k-subsets, then any
+        planted id-subsets, with the first maximizing subset.  One serial
+        loop counts each trial as it is drawn from random.Random(seed), so
+        memory does not grow with trials; the draw costs more than the count,
+        and a pool could not share it.  Refuses more trials than the budget,
+        and a planted subset that is not a k-subset, before any work."""
         if trials < 1:
             raise ValueError("trials must be >= 1")
         if trials > budget:
@@ -330,16 +332,21 @@ class NormGraph:
                 f"sampled census needs {trials} trials, over the budget of {budget}"
             )
         self._require_subset_size(k)
-        bitsets = self._all_bitsets()
-        rng = random.Random(seed)
-        subsets = [tuple(sorted(rng.sample(range(self.n), k))) for _ in range(trials)]
+        extras = []
         for extra in planted:
             ids = tuple(sorted(extra))
             if len(ids) != k or len(set(ids)) != k:
                 raise ValueError(f"planted subset {extra!r} is not a {k}-subset")
-            subsets.append(ids)
-        tasks = [(bitsets, chunk) for chunk in chunk_list(subsets, jobs)]
-        return max(run_tasks(_sample_worker, tasks, jobs), key=lambda r: r[0])
+            extras.append(ids)
+        bitsets = self._all_bitsets()
+        rng = random.Random(seed)
+        drawn = (tuple(sorted(rng.sample(range(self.n), k))) for _ in range(trials))
+        best, best_subset = -1, ()
+        for subset in itertools.chain(drawn, extras):
+            size = _subset_census(bitsets, subset)
+            if size > best:
+                best, best_subset = size, subset
+        return best, best_subset
 
     # -- export -----------------------------------------------------------
 
@@ -439,16 +446,6 @@ def _census_worker(task) -> tuple[int, tuple[int, ...]]:
         for j in range(i):
             subset[j] = j
         stale = i
-
-
-def _sample_worker(task) -> tuple[int, tuple[int, ...]]:
-    bitsets, subsets = task
-    best, best_subset = -1, ()
-    for subset in subsets:
-        size = _subset_census(bitsets, subset)
-        if size > best:
-            best, best_subset = size, subset
-    return best, best_subset
 
 
 # -- witness serialization ---------------------------------------------------

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
 from .graph import NormGraph, Vertex, WitnessReport, make_graph
-from .parallel import chunk_list, run_tasks
+from .parallel import run_tasks
 from .polys import (
     discriminant,
     int_poly_mul,
@@ -186,9 +186,9 @@ class SieveResult:
         return self.count / self.pi if self.pi else 0.0
 
 
-def _sieve_chunk(ps: list[int]) -> list[SieveRow]:
-    # ps come from primes_up_to, whose Eratosthenes list certifies them
-    return [SieveRow(p, *_prime_verdict(p)) for p in ps]
+def _sieve_row(p: int) -> SieveRow:
+    # p comes from primes_up_to, whose Eratosthenes list certifies it
+    return SieveRow(p, *_prime_verdict(p))
 
 
 def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
@@ -196,9 +196,7 @@ def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     primes = primes_up_to(limit)
-    chunks = run_tasks(_sieve_chunk, chunk_list(primes, jobs), jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    return SieveResult(limit=limit, rows=rows)
+    return SieveResult(limit=limit, rows=run_tasks(_sieve_row, primes, jobs))
 
 
 def sieve_to_csv(res: SieveResult) -> str:

@@ -12,13 +12,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def run_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over tasks, in order; forks a process pool only when it pays.
-    The pool never has more workers than tasks or CPUs."""
+    """fn over tasks, in order; forks one process pool only when it pays.
+    The pool never has more workers than tasks or CPUs, and receives the
+    tasks in the pieces that chunk_ranges cuts."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     max_workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    chunksize = chunk_ranges(len(tasks), jobs)[0][1]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -36,9 +38,3 @@ def chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
         out.append((start, count))
         start += count
     return out
-
-
-def chunk_list(items: list, jobs: int) -> list[list]:
-    """Split a list into contiguous chunks as chunk_ranges does, preserving
-    order."""
-    return [items[s : s + c] for s, c in chunk_ranges(len(items), jobs)]

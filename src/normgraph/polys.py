@@ -338,22 +338,6 @@ def _ext_gcd(a, b, F: ExtField) -> list[ExtElement]:
     return _ext_monic(a, F)
 
 
-def _ext_prod(a, b, F: ExtField):
-    # a*b in F for coefficient lists whose ints may be unreduced.  F.mul
-    # serves every k but 3, whose body is written out as in _cubic_pow_mod.
-    if F.k != 3:
-        return F.mul(a, b)
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    f0, f1, f2, _ = F.modulus
-    p = F.p
-    d4 = a2 * b2 % p
-    d3 = (a1 * b2 + a2 * b1 - d4 * f2) % p
-    d2 = a0 * b2 + a1 * b1 + a2 * b0 - d4 * f1 - d3 * f2
-    d1 = a0 * b1 + a1 * b0 - d4 * f0 - d3 * f1
-    return [(a0 * b0 - d3 * f0) % p, d1 % p, d2 % p]
-
-
 def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField):
     """(x + delta)^e mod w over F, for monic w of degree n >= 2 and e >= 1.
 
@@ -373,7 +357,7 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
         for d in range(len(s) - 1, n - 1, -1):
             c = [x % p for x in s[d]]
             for j, m, scalar in fold:
-                u = _ext_prod(c, m, F) if scalar is None else [scalar * x for x in c]
+                u = F.mul(c, m) if scalar is None else [scalar * x for x in c]
                 s[d - n + j] = add(s[d - n + j], u)
         return [[x % p for x in c] for c in s[:n]]
 
@@ -381,13 +365,13 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
     for bit in bin(e)[3:]:
         s = [F.zero] * (2 * n - 1)
         for i, ri in enumerate(r):
-            s[2 * i] = add(s[2 * i], _ext_prod(ri, ri, F))
+            s[2 * i] = add(s[2 * i], F.mul(ri, ri))
             ri2 = [2 * x for x in ri]
             for j in range(i + 1, n):
-                s[i + j] = add(s[i + j], _ext_prod(ri2, r[j], F))
+                s[i + j] = add(s[i + j], F.mul(ri2, r[j]))
         r = fold_top(s)
         if bit == "1":
-            s = [add(u, _ext_prod(delta, v, F)) for u, v in zip([F.zero] + r, r)]
+            s = [add(u, F.mul(delta, v)) for u, v in zip([F.zero] + r, r)]
             r = fold_top(s + [r[-1]])
     return _ext_trim([tuple(c) for c in r], F)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from normgraph.ff import ExtField, fp_inv, fp_pow
+from normgraph.polys import poly_divmod, poly_mul
 
 
 def f7_cubic():
@@ -96,6 +97,21 @@ class TestRingOps:
         f = f7_cubic()
         # (theta^2 + theta) * theta = theta^3 + theta^2 = 2 + theta^2
         assert f.mul((0, 1, 1), (0, 1, 0)) == (2, 0, 1)
+
+    @pytest.mark.parametrize(
+        "p, k, modulus",
+        [(7, 2, [-3, 0, 1]), (13, 3, [2, 5, 7, 1]), (37, 3, [-2, 0, 0, 1]),
+         (5, 4, [-2, 0, 0, 0, 1])],
+    )
+    def test_mul_matches_poly_reference_on_unreduced_ints(self, p, k, modulus):
+        # root extraction hands mul unreduced and negative ints
+        f = ExtField(p, k, modulus)
+        rng = random.Random(k * p)
+        for _ in range(300):
+            a = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(k))
+            b = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(k))
+            rem = poly_divmod(poly_mul(a, b, p), f.modulus, p)[1]
+            assert f.mul(a, b) == tuple(rem + [0] * (k - len(rem)))
 
     def test_inv_of_generator(self):
         f = f7_cubic()

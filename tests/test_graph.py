@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -309,6 +310,40 @@ class TestCensus:
         true_max, argmax = G.census_max_common(4)
         size, subset = G.sample_max_common(4, trials=5, seed=1, planted=(argmax,))
         assert size == true_max
+
+    def test_sample_keeps_the_first_maximum(self):
+        # the same stream drawn here, each trial counted through common_neighbors
+        G = make_graph(3, 4)
+        rng = random.Random(7)
+        drawn = [tuple(sorted(rng.sample(range(G.n), 3))) for _ in range(300)]
+        sizes = [len(G.common_neighbors([G.vertex_from_id(i) for i in s])) for s in drawn]
+        first = drawn[sizes.index(max(sizes))]
+        assert sizes.count(max(sizes)) > 1
+        planted = (tuple(reversed(first)),)
+        assert G.sample_max_common(3, trials=300, seed=7, planted=planted) == (max(sizes), first)
+        assert G.sample_max_common(3, trials=300, seed=7) == (max(sizes), first)
+
+    def test_bad_planted_subset_refused_before_any_work(self, monkeypatch):
+        def no_bitsets(graph):
+            raise AssertionError("bitsets built before the planted check")
+
+        G = make_graph(3, 4)
+        monkeypatch.setattr(NormGraph, "_all_bitsets", no_bitsets)
+        for bad in ((0, 1, 2), (0, 1, 2, 2)):
+            with pytest.raises(ValueError, match="planted subset"):
+                G.sample_max_common(4, trials=10**6, seed=0, planted=(bad,))
+
+    def test_sample_memory_does_not_grow_with_trials(self):
+        # 200,000 kept 3-subsets alone would take about 16 MB
+        G = make_graph(5, 3)
+        G._all_bitsets()  # builds the cached norm table outside the traced region
+        tracemalloc.start()
+        try:
+            G.sample_max_common(3, trials=200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_vertex_sampling_hits_max_degree(self):
         G = make_graph(3, 3)

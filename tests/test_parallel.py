@@ -1,18 +1,22 @@
-"""The process-pool helper: its worker clamp and its chunking rule."""
+"""The process-pool helper: its worker clamp, its chunking rule, and which
+commands start a pool at all."""
 
 import os
 
-from normgraph import parallel
+import pytest
+
+from normgraph import cli, parallel
 
 
-def test_workers_clamped_to_tasks_and_cpus(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """Replaces the pool with a recorder that maps in process: no process
+    starts.  Each pool appends [max_workers, chunksize of each map]."""
     created = []
 
     class FakePool:
-        """Records max_workers and maps in process: no process starts."""
-
         def __init__(self, max_workers):
-            created.append(max_workers)
+            created.append([max_workers])
 
         def __enter__(self):
             return self
@@ -20,16 +24,31 @@ def test_workers_clamped_to_tasks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            created[-1].append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    return created
+
+
+def test_workers_clamped_to_tasks_and_cpus(monkeypatch, pools):
     tasks = list(range(8))
     for jobs, cpus, want in ((10**6, 64, 8), (10**6, 4, 4), (10**6, None, 1), (3, 64, 3)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert parallel.run_tasks(abs, tasks, jobs) == tasks
-        assert created[-1] == want
-    assert len(created) == 4
+        assert pools[-1][0] == want
+    assert len(pools) == 4
+
+
+@pytest.mark.parametrize("total, jobs", [(100, 3), (17984, 2), (5, 3), (9, 2)])
+def test_chunksize_follows_chunk_ranges(pools, total, jobs):
+    tasks = list(range(total))
+    assert parallel.run_tasks(abs, tasks, jobs) == tasks
+    pieces = parallel.chunk_ranges(total, jobs)
+    chunksize = pools[-1][1]
+    assert chunksize == max(c for _, c in pieces)
+    assert -(-total // chunksize) <= len(pieces) <= jobs * 4
 
 
 def test_chunks_follow_jobs():
@@ -40,5 +59,15 @@ def test_chunks_follow_jobs():
     assert [s for s, _ in pieces] == [sum(c for _, c in pieces[:i]) for i in range(12)]
     assert sum(c for _, c in pieces) == 100
     assert parallel.chunk_ranges(5, 3) == [(i, 1) for i in range(5)]
-    items = list(range(50))
-    assert [x for chunk in parallel.chunk_list(items, 2) for x in chunk] == items
+
+
+def test_one_pool_per_search_and_none_for_a_sampled_census(pools, capsys):
+    argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "300", "--all"]
+    assert cli.main(argv + ["--jobs", "2"]) == 0
+    assert len(pools) == 1 and len(pools[0]) == 2  # one pool, one map
+    parallel_out = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == parallel_out
+    census = ["census", "--p", "5", "--t", "3", "--k", "3", "--sample", "--trials", "500"]
+    assert cli.main(census + ["--jobs", "2"]) == 0
+    assert len(pools) == 1
