@@ -47,8 +47,6 @@ def _usage_error(msg: str) -> int:
 
 
 def cmd_sieve(args) -> int:
-    if args.limit < 2:
-        return _usage_error("--limit must be >= 2")
     res = k46.sieve_qualifying(args.limit, jobs=args.jobs)
     if args.format == "csv":  # the CSV text ends in exactly one newline
         _emit(k46.sieve_to_csv(res).removesuffix("\n"), args.output)
@@ -435,6 +433,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "limit", 2) < 2:
+        return _usage_error("--limit must be >= 2")
     if getattr(args, "limit", 0) > SIEVE_LIMIT:
         return _usage_error(f"--limit must be <= {SIEVE_LIMIT}, got {args.limit}")
     if (getattr(args, "p", None) or 0) >= PSI_12:

@@ -8,7 +8,7 @@ exact integer arithmetic; nothing here floats.
 
 from __future__ import annotations
 
-from .polys import fp_inv, fp_pow, is_irreducible, poly_divmod, poly_mul, poly_sub, poly_trim
+from .polys import fp_inv, fp_pow, is_irreducible
 from .primes import is_prime
 
 ExtElement = tuple[int, ...]
@@ -70,6 +70,8 @@ class ExtField:
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """a*b; the ints of a and b may be unreduced or negative."""
         p, k, mod = self.p, self.k, self.modulus
+        if k == 1:  # root finding over F_p runs on GF(p^1)
+            return (a[0] * b[0] % p,)
         if k == 3:
             # written out, as in polys._cubic_pow_mod: a call per product
             # costs more than the arithmetic, and root extraction in GF(p^3)
@@ -109,22 +111,17 @@ class ExtField:
         return result
 
     def inv(self, a: ExtElement) -> ExtElement:
-        """Inverse via extended Euclid against the modulus."""
+        """Inverse from the norm: a times its other conjugates
+        a^p * ... * a^(p^(k-1)) is N(a), a nonzero element of F_p, so that
+        product scaled by N(a)^(-1) is a^(-1)."""
         if a == self.zero:
             raise ZeroDivisionError("0 has no inverse")
-        p = self.p
-        r0, r1 = list(self.modulus), poly_trim(a)
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is not a unit (shares a factor with the modulus)")
-        c = fp_inv(r0[0], p)
-        out = [x * c % p for x in s0]
-        out.extend([0] * (self.k - len(out)))
-        return tuple(out)
+        rest = self._times_conjugates(self.one, a)
+        n = self.mul(a, rest)
+        if any(n[1:]):
+            raise AssertionError("conjugate product did not land in the base field")
+        c = fp_inv(n[0], self.p)
+        return tuple(x * c % self.p for x in rest)
 
     # -- field structure -------------------------------------------------
 
@@ -138,13 +135,17 @@ class ExtField:
                 acc = self.add(acc, self.from_base(c))
         return acc
 
-    def norm_conj(self, a: ExtElement) -> int:
-        """Norm to F_p as the product of the k Frobenius conjugates."""
-        acc = a
+    def _times_conjugates(self, acc: ExtElement, a: ExtElement) -> ExtElement:
+        """acc * a^p * a^(p^2) * ... * a^(p^(k-1)); with acc = a, the norm."""
         conj = a
         for _ in range(self.k - 1):
             conj = self.frobenius(conj)
             acc = self.mul(acc, conj)
+        return acc
+
+    def norm_conj(self, a: ExtElement) -> int:
+        """Norm to F_p as the product of the k Frobenius conjugates."""
+        acc = self._times_conjugates(a, a)
         if any(acc[1:]):
             raise AssertionError("conjugate product did not land in the base field")
         return acc[0]

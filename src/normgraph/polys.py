@@ -19,9 +19,9 @@ from .primes import prime_factors
 if TYPE_CHECKING:
     from .ff import ExtElement, ExtField
 
-# equal-degree splitting gives up after this many seeded attempts; on valid
-# input the failure probability is below 2^-64, so hitting it means the
-# caller's splitting precondition is wrong
+# splitting gives up after this many seeded attempts on the way to one root;
+# on valid input with n roots that has probability about n^2 * 2^-64, so
+# hitting it means the caller's splitting precondition is wrong
 _SPLIT_ATTEMPTS = 64
 
 
@@ -250,43 +250,26 @@ def is_irreducible(h, p: int) -> bool:
     return True
 
 
-def _split_linear(g: list[int], p: int) -> list[int]:
-    # roots of g, monic and a product of distinct linear factors over F_p:
-    # gcd(w, (x + delta)^((p-1)/2) - 1) keeps the roots a of w with a + delta
-    # a nonzero square, so a seeded delta splits w about half the time.  Over
-    # F_2 that exponent is 0 and nothing splits, so 0 and 1 are evaluated.
-    if p == 2:
-        return [c for c in (0, 1) if poly_eval(g, c, p) == 0]
-    rng = random.Random(0)
-    pending, roots = [g], []
-    while pending:
-        w = pending.pop()
-        if len(w) == 2:
-            roots.append(-w[0] % p)
-        elif len(w) > 2:
-            for _ in range(_SPLIT_ATTEMPTS):
-                s = poly_pow_mod([rng.randrange(p), 1], (p - 1) // 2, w, p)
-                f = poly_gcd(w, poly_sub(s, [1], p), p)
-                if 1 < len(f) < len(w):
-                    pending += [f, poly_divmod(w, f, p)[0]]
-                    break
-            else:
-                raise AssertionError("splitting did not terminate")
-    return roots
-
-
 def roots_in_base(h, p: int) -> dict[int, bool]:
     """All roots of h in F_p, ascending, mapped to a repeated-root flag (true
-    when gcd(h, h') also vanishes there).  Seeded equal-degree splitting
-    (Cantor-Zassenhaus) of gcd(h, x^p - x), the product of x - a over the
-    distinct roots a: polynomial in deg h and log p, and the result does not
-    depend on the internal seed.  Every root is checked by evaluation."""
+    when gcd(h, h') also vanishes there).  g = gcd(h, x^p - x) is the product
+    of x - a over the distinct roots a.  Over F_2 they are found by evaluating
+    0 and 1, over odd p by the splitter's every-root mode on the degree-1
+    field ExtField(p, 1, [0, 1]): polynomial in deg h and log p, and the
+    result does not depend on its seed.  Every root is checked by evaluation."""
+    # imported here because ff imports polys at load
+    from .ff import ExtField
+
     h = _norm(h, p)
     if len(h) < 2:
         raise ValueError("root finding needs degree >= 1")
     x = [0, 1]
     g = poly_gcd(h, poly_sub(poly_pow_mod(x, p, h, p), x, p), p)
-    roots = sorted(_split_linear(g, p))
+    if p == 2:  # (p-1)/2 = 0, so nothing splits over F_2
+        roots = [c for c in (0, 1) if poly_eval(g, c, p) == 0]
+    else:
+        F = ExtField(p, 1, [0, 1])
+        roots = sorted(r for (r,) in _split_roots([(c,) for c in g], F, 0, every=True))
     if any(poly_eval(h, r, p) for r in roots):
         raise AssertionError("a split root fails to satisfy the polynomial")
     sq = poly_gcd(h, poly_deriv(h, p), p)
@@ -376,41 +359,53 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
     return _ext_trim([tuple(c) for c in r], F)
 
 
-def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
-    """One root of h (over F_p) inside F, via seeded equal-degree splitting.
+def _split_roots(w: list[ExtElement], F: ExtField, seed: int, every: bool) -> list[ExtElement]:
+    """Roots of w, monic over F (odd p) and constant or a product of distinct
+    linear factors, by seeded equal-degree splitting (Cantor-Zassenhaus,
+    Math. Comp. 36, 1981): gcd(v, (x + delta)^((|F|-1)/2) - 1) keeps the
+    roots a of v with a + delta a nonzero square, so a delta drawn as
+    F.element_from_index(rng.randrange(|F|)) splits v about half the time.
+    Each split keeps the smaller factor; with every set, the larger one is
+    kept for later and every root is returned, else the one root reached."""
+    rng = random.Random(seed)
+    e = (F.order() - 1) // 2
+    pending, roots = [(w, 0)], []
+    while pending:
+        v, attempts = pending.pop()
+        while len(v) > 2:
+            if attempts >= _SPLIT_ATTEMPTS:
+                raise ValueError(
+                    "splitting did not terminate; input does not split into linears over the field"
+                )
+            attempts += 1
+            delta = F.element_from_index(rng.randrange(F.order()))
+            s = _linear_pow_mod(delta, e, v, F) or [F.zero]
+            s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
+            g = _ext_gcd(v, s, F)
+            if 1 < len(g) < len(v):
+                other = _ext_divmod(v, g, F)[0]
+                small, large = (g, other) if len(g) <= len(other) else (other, g)
+                if every:
+                    pending.append((large, attempts))
+                v = small
+        if len(v) == 2:
+            roots.append(F.neg(v[0]))
+    return roots
 
-    The caller guarantees h splits into distinct linear factors over F
-    (h irreducible over F_p with degree dividing F.k).  Repeatedly computes
-    gcd(W, (x+delta)^((|F|-1)/2) - 1 mod W) for seeded random delta and keeps
-    the smaller factor until a linear factor drops out.  Deterministic given
-    (h, F, seed); exhausting the attempt bound signals a precondition bug.
-    """
+
+def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
+    """One root of h (over F_p) inside F, by the splitter's one-root mode on
+    h lifted to F and made monic.  The caller guarantees h splits into
+    distinct linear factors over F (h irreducible over F_p with degree
+    dividing F.k); exhausting the attempt bound raises ValueError and signals
+    a precondition bug.  Deterministic given (h, F, seed); the root is
+    checked by evaluation."""
     if F.p == 2:
         raise ValueError("splitting requires odd characteristic")
     lifted = _ext_trim([F.from_base(c % F.p) for c in h], F)
     if len(lifted) < 2:
         raise ValueError("root extraction needs degree >= 1")
-    w = _ext_monic(lifted, F)
-    rng = random.Random(seed)
-    e = (F.order() - 1) // 2
-    attempts = 0
-    while len(w) > 2:
-        if attempts >= _SPLIT_ATTEMPTS:
-            raise ValueError(
-                "splitting did not terminate; input does not split into linears over the field"
-            )
-        attempts += 1
-        delta = F.element_from_index(rng.randrange(F.order()))
-        s = _linear_pow_mod(delta, e, w, F)
-        if s:
-            s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
-        else:
-            s = [F.neg(F.one)]
-        g = _ext_gcd(w, s, F)
-        if 1 < len(g) < len(w):
-            other = _ext_divmod(w, g, F)[0]
-            w = g if len(g) <= len(other) else other
-    root = F.neg(w[0])
+    (root,) = _split_roots(_ext_monic(lifted, F), F, seed, every=False)
     if eval_in_ext(h, root, F) != F.zero:
         raise AssertionError("extracted root fails to satisfy the polynomial")
     return root

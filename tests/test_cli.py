@@ -109,6 +109,26 @@ class TestUsage:
             )
 
     @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["sieve", "--limit"], k46, "sieve_qualifying"),
+            (["witness-general", "--t", "4", "--m", "2", "--limit"],
+             general, "find_parameters"),
+        ],
+        ids=["sieve", "witness-general"],
+    )
+    def test_limit_below_two_starts_no_work(self, monkeypatch, capsys, argv, owner, name):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(owner, name, work)
+        for limit in ("1", "0", "-5"):
+            assert cli.main([*argv, limit]) == 2
+            stdout, stderr = capsys.readouterr()
+            assert stdout == ""
+            assert stderr == "error: --limit must be >= 2\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [("witness46", "--p", PSI_12), ("census", "--p", PSI_12, "--t", 3, "--k", 1)],
         ids=["witness46", "census"],

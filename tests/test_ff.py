@@ -3,12 +3,27 @@ import random
 import pytest
 
 from normgraph.ff import ExtField, fp_inv, fp_pow
-from normgraph.polys import poly_divmod, poly_mul
+from normgraph.polys import poly_divmod, poly_mul, poly_sub, poly_trim
 
 
 def f7_cubic():
     # F_343 as F_7[x]/(x^3 - 2); 2 is not a cube mod 7 so this is irreducible
     return ExtField(7, 3, [-2, 0, 0, 1])
+
+
+def euclid_inv(f, a):
+    """Reference inverse: extended Euclid of a against the modulus over F_p."""
+    p = f.p
+    r0, r1 = list(f.modulus), poly_trim(a)
+    s0, s1 = [], [1]
+    while r1:
+        q, rem = poly_divmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+    assert len(r0) == 1, "not a unit"
+    c = fp_inv(r0[0], p)
+    out = [x * c % p for x in s0]
+    return tuple(out + [0] * (f.k - len(out)))
 
 
 class TestFpOps:
@@ -101,7 +116,7 @@ class TestRingOps:
     @pytest.mark.parametrize(
         "p, k, modulus",
         [(7, 2, [-3, 0, 1]), (13, 3, [2, 5, 7, 1]), (37, 3, [-2, 0, 0, 1]),
-         (5, 4, [-2, 0, 0, 0, 1])],
+         (5, 4, [-2, 0, 0, 0, 1]), (10007, 1, [5, 1])],
     )
     def test_mul_matches_poly_reference_on_unreduced_ints(self, p, k, modulus):
         # root extraction hands mul unreduced and negative ints
@@ -117,6 +132,18 @@ class TestRingOps:
         f = f7_cubic()
         # theta * 4theta^2 = 4*theta^3 = 8 = 1
         assert f.inv((0, 1, 0)) == (0, 0, 4)
+
+    @pytest.mark.parametrize(
+        "p, modulus",
+        [(2, [1, 1, 0, 1]), (3, [1, 0, 1]), (7, [-2, 0, 0, 1]), (5, [-2, 0, 0, 0, 1]),
+         (101, [3, 1])],
+        ids=["2^3", "3^2", "7^3", "5^4", "101^1"],
+    )
+    def test_inv_matches_euclid_on_every_unit(self, p, modulus):
+        f = ExtField(p, len(modulus) - 1, modulus)
+        for a in f.elements():
+            if a != f.zero:
+                assert f.inv(a) == euclid_inv(f, a)
 
     def test_inv_zero_raises(self):
         f = f7_cubic()

@@ -266,6 +266,15 @@ class TestRoots:
             found = roots_in_base(h, p)
             assert found == scan_roots(h, p)
             assert list(found) == sorted(found)
+        # products of many distinct linear factors (all of F_p when p < 24),
+        # so that every-root splitting sets many factors aside
+        for _ in range(3):
+            h = [rng.randrange(1, p)]
+            for a in rng.sample(range(p), min(p, 24)):
+                h = poly_mul(h, [-a, 1], p)
+            found = roots_in_base(h, p)
+            assert found == scan_roots(h, p)
+            assert list(found) == sorted(found)
 
     def test_p2_terminates(self):
         # (p-1)/2 = 0 over F_2, so splitting never splits; 0 and 1 are

@@ -1,5 +1,6 @@
-"""pyproject.toml declares Python >= 3.10: no source, test or benchmark file
-may use syntax that only a later grammar accepts."""
+"""Checks on the source text itself. pyproject.toml declares Python >= 3.10:
+no source, test or benchmark file may use syntax that only a later grammar
+accepts. And no module in src/normgraph may import a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -12,3 +13,34 @@ def test_every_file_parses_as_python_3_10():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names imported anywhere in a module that it never reads and does not
+    list in its __all__ (imports from __future__ aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in node.value.elts}
+    return sorted(imported - read - exported)
+
+
+def test_every_import_in_src_is_used():
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "normgraph").glob("*.py"))
+        if (names := unused_imports(path))
+    }
+    # perfbench/layers.py rebinds cli.primes_up_to to time the sieve's prime
+    # generation, so cli imports it without using it
+    assert found == {"cli.py": ["primes_up_to"]}
