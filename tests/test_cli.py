@@ -319,6 +319,46 @@ class TestCensus:
         assert "planted=witness-quadruple" in r.stdout
         assert "max common neighbors over 4-subsets: 6" in r.stdout
 
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (
+                [2, 4, 4, 5, 1],
+                "graph: p=2 t=4 n=8\n"
+                "mode: sample trials=5 seed=1\n"
+                "max common neighbors over 4-subsets: 4\n"
+                "achieved by vertex ids: 0 2 4 7\n"
+                "bound (t-1)! = 6: within bound\n",
+            ),
+            (
+                [3, 3, 3, 50, 1],
+                "graph: p=3 t=3 n=18\n"
+                "mode: sample trials=50 seed=1\n"
+                "max common neighbors over 3-subsets: 2\n"
+                "achieved by vertex ids: 6 12 15\n"
+                "bound (t-1)! = 2: within bound\n",
+            ),
+            (
+                [7, 4, 4, 50000, 0],
+                "graph: p=7 t=4 n=2058\n"
+                "mode: sample trials=50000 seed=0 planted=witness-quadruple\n"
+                "max common neighbors over 4-subsets: 6\n"
+                "achieved by vertex ids: 570 894 1154 1466\n"
+                "bound (t-1)! = 6: within bound\n",
+            ),
+        ],
+        # n = 8 and 18 take random.sample's pool branch, n = 2058 its set branch
+        ids=["P(2,4)", "P(3,3)", "P(7,4)"],
+    )
+    def test_sampled_census_bytes(self, argv, stdout):
+        p, t, k, trials, seed = argv
+        r = run(
+            "census", "--p", p, "--t", t, "--k", k, "--sample",
+            "--trials", trials, "--seed", seed,
+        )
+        assert r.returncode == 0
+        assert r.stdout == stdout
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_sample_needs_a_trial(self, trials):
         r = run(

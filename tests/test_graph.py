@@ -358,6 +358,27 @@ class TestCensus:
         assert sampled_size <= census_size
 
 
+class TestDrawSubsets:
+    """graph._draw_subsets against rng.sample(range(n), k) on a twin stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "n,k",
+        # random.sample takes its pool branch for n <= 21 at k <= 5 and for
+        # n <= 85 at k = 6, its set branch above
+        [(n, k) for n in (20, 21, 22) for k in (3, 4, 5)]
+        + [(85, 6), (86, 6), (2058, 4), (2058, 1), (20, 1), (20, 20), (22, 22)],
+    )
+    def test_same_subsets_as_random_sample(self, n, k, seed):
+        # a set-branch trial reads at least k words, so these trials read
+        # more than two blocks of DRAW_WORDS
+        trials = 2 * graph.DRAW_WORDS + 1
+        twin = random.Random(seed)
+        want = [twin.sample(range(n), k) for _ in range(trials)]
+        got = graph._draw_subsets(random.Random(seed), n, k, trials)
+        assert [list(subset) for subset in got] == want
+
+
 class TestColex:
     def test_unrank_matches_enumeration(self):
         n, k = 6, 3

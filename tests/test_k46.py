@@ -23,6 +23,7 @@ from normgraph.k46 import (
     witness_graph,
 )
 from normgraph.primes import primes_up_to
+from test_acceptance import planted_quadruple
 
 # sieve rejection classes, keyed by a phrase of the reason text
 REASON_CLASSES = (
@@ -218,6 +219,29 @@ class TestBuild:
         cert = is_qualifying_prime(7)
         with pytest.raises(ValueError):
             build_witness(cert, root_order=(0, 1, 1))
+
+
+def reencode(F, theta, alpha):
+    """c0 + c1 x + c2 x^2 over x^3 - 2, as c0 + c1 theta + c2 theta^2 in F."""
+    out = F.zero
+    for c in reversed(alpha):
+        out = F.add(F.mul(out, theta), F.from_base(c))
+    return out
+
+
+def test_planted_quadruple_sees_the_reencoded_right_side():
+    G = make_graph(7, 4)
+    F = G.field
+    # the census field is not the witness field, so x -> theta is no identity
+    assert F.modulus != tuple(c % 7 for c in k46.X3_MINUS_2)
+    theta = polys.find_root_in_ext(k46.X3_MINUS_2, F, seed=0)
+    w = build_witness(is_qualifying_prime(7))
+    planted = planted_quadruple(G)
+    left = [Vertex(reencode(F, theta, v.alpha), v.a) for v in w.A]
+    assert [G.vertex_id(v) for v in left] == list(planted)
+    common = G.common_neighbors([G.vertex_from_id(i) for i in planted])
+    assert len(common) == 6
+    assert set(common) == {Vertex(reencode(F, theta, v.alpha), v.a) for v in w.B}
 
 
 class TestVerify:
