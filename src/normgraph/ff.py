@@ -4,9 +4,14 @@ scalars fp_pow and fp_inv live in polys and are re-exported here.
 Extension elements are plain tuples of k ints (coefficients of
 1, x, ..., x^(k-1), little-endian) reduced mod p.  All arithmetic is
 exact integer arithmetic; nothing here floats.
+
+Frobenius a -> a^p is F_p-linear: each field keeps its matrix, the columns
+x^(ip) mod the modulus for i < k, so one map is k^2 scalar products.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .polys import fp_inv, fp_pow, is_irreducible
 from .primes import is_prime
@@ -46,7 +51,8 @@ class ExtField:
             self.gen: ExtElement = ((-mod[0]) % p,)
         else:
             self.gen = (0, 1) + (0,) * (k - 2)
-        self._xp = self.pow(self.gen, p)  # x^p, drives frobenius()
+        xp = self.pow(self.gen, p)  # row j of _frob: coefficient j of each x^(ip)
+        self._frob = list(zip(*(self.pow(xp, i) for i in range(k))))
 
     # -- construction -----------------------------------------------------
 
@@ -126,14 +132,10 @@ class ExtField:
     # -- field structure -------------------------------------------------
 
     def frobenius(self, a: ExtElement) -> ExtElement:
-        """a^p, computed as the coefficient-wise substitution x -> x^p."""
-        # a(x)^p == a(x^p) mod p, so Horner-evaluate a at the cached x^p
-        acc = self.zero
-        for c in reversed(a):
-            acc = self.mul(acc, self._xp)
-            if c:
-                acc = self.add(acc, self.from_base(c))
-        return acc
+        """a^p = sum of a_i * x^(ip), since a(x)^p == a(x^p) mod p: the
+        Frobenius matrix times a's coefficients."""
+        p = self.p
+        return tuple(sum(map(operator.mul, row, a)) % p for row in self._frob)
 
     def _times_conjugates(self, acc: ExtElement, a: ExtElement) -> ExtElement:
         """acc * a^p * a^(p^2) * ... * a^(p^(k-1)); with acc = a, the norm."""

@@ -135,6 +135,7 @@ class NormGraph:
         self._elements: list[ExtElement] | None = None
         self._norms: list[int] | None = None
         self._blocks: list[list[str]] | None = None
+        self._bitsets: list[int] | None = None
 
     # -- vertex indexing -------------------------------------------------
 
@@ -247,6 +248,8 @@ class NormGraph:
                 f"census bitsets for {self.n} vertices need {need} bytes, "
                 f"above the memory guard {CENSUS_MEMORY}"
             )
+        if self._bitsets is not None:
+            return self._bitsets
         out = []
         for idx in range(self.qprime):
             # one row per alpha, shared by its p-1 vertices
@@ -256,6 +259,7 @@ class NormGraph:
                 self._row_bitset(reversed_row, vid)
                 for vid in range(first, first + self.p - 1)
             )
+        self._bitsets = out
         return out
 
     def common_neighbors(self, S: list[Vertex]) -> list[Vertex]:

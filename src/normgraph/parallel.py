@@ -8,7 +8,15 @@ the worker count.  Workers must be module-level functions (picklable).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+
+
+def __getattr__(name: str):
+    # loaded on first use: concurrent.futures.process imports multiprocessing
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def run_tasks(fn, tasks: list, jobs: int) -> list:
@@ -19,7 +27,8 @@ def run_tasks(fn, tasks: list, jobs: int) -> list:
         return [fn(t) for t in tasks]
     max_workers = min(jobs, len(tasks), os.cpu_count() or 1)
     chunksize = chunk_ranges(len(tasks), jobs)[0][1]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    pool_cls = sys.modules[__name__].ProcessPoolExecutor  # honours a class set on the module
+    with pool_cls(max_workers=max_workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 

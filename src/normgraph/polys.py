@@ -9,6 +9,7 @@ no trailing zeros).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -328,8 +329,14 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
     delta times each coefficient.  A square takes the n(n+1)/2 symmetric
     products.  x^n == -(w_0 + ... + w_(n-1) x^(n-1)) folds the top terms
     with no inverse; zero w_j are skipped and a base-field w_j scales.
-    Coefficients stay int lists, reduced mod p once per step."""
-    p, n = F.p, len(w) - 1
+    Coefficients stay int lists, reduced mod p once per step.
+
+    For w over F_p, k > 1 and e = d(1 + p + ... + p^(k-1)), the power is
+    u * phi(u) * ... * phi^(k-1)(u), u = (x + delta)^d, where phi(sum a_i
+    x^i) = sum a_i^p (x^p mod w)^i is f -> f^p on F[x]/(w) (von zur
+    Gathen-Shoup, Comput. Complexity 2, 1992): e = (p^k - 1)/2 takes a
+    (p - 1)/2 power, k - 1 maps and k - 1 products."""
+    p, k, n = F.p, F.k, len(w) - 1
     fold = [(j, [-x for x in c], None if any(c[1:]) else -c[0])
             for j, c in enumerate(w[:-1]) if any(c)]
 
@@ -344,19 +351,37 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
                 s[d - n + j] = add(s[d - n + j], u)
         return [[x % p for x in c] for c in s[:n]]
 
-    r = [delta, F.one] + [F.zero] * (n - 2)
-    for bit in bin(e)[3:]:
+    def power(d):
+        r = [delta, F.one] + [F.zero] * (n - 2)
+        for bit in bin(d)[3:]:
+            s = [F.zero] * (2 * n - 1)
+            for i, ri in enumerate(r):
+                s[2 * i] = add(s[2 * i], F.mul(ri, ri))
+                ri2 = [2 * x for x in ri]
+                for j in range(i + 1, n):
+                    s[i + j] = add(s[i + j], F.mul(ri2, r[j]))
+            r = fold_top(s)
+            if bit == "1":
+                s = [add(u, F.mul(delta, v)) for u, v in zip([F.zero] + r, r)]
+                r = fold_top(s + [r[-1]])
+        return r
+
+    norm_e = (F.order() - 1) // (p - 1)
+    if k == 1 or e % norm_e or any(any(a[1:]) for a in w):
+        return _ext_trim([tuple(a) for a in power(e)], F)
+    h = [a[0] for a in w]
+    xp = poly_pow_mod([0, 1], p, h, p)  # row j of phi's matrix: coefficient j of each x^(ip)
+    rows = list(zip(*((poly_pow_mod(xp, i, h, p) + [0] * n)[:n] for i in range(n))))
+    acc = conj = power(e // norm_e)
+    for _ in range(k - 1):
+        conj_t = list(zip(*map(F.frobenius, conj)))  # conj_t[t][i]: coefficient t of a_i^p
+        conj = [[sum(map(operator.mul, row, col)) % p for col in conj_t] for row in rows]
         s = [F.zero] * (2 * n - 1)
-        for i, ri in enumerate(r):
-            s[2 * i] = add(s[2 * i], F.mul(ri, ri))
-            ri2 = [2 * x for x in ri]
-            for j in range(i + 1, n):
-                s[i + j] = add(s[i + j], F.mul(ri2, r[j]))
-        r = fold_top(s)
-        if bit == "1":
-            s = [add(u, F.mul(delta, v)) for u, v in zip([F.zero] + r, r)]
-            r = fold_top(s + [r[-1]])
-    return _ext_trim([tuple(c) for c in r], F)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(conj):
+                s[i + j] = add(s[i + j], F.mul(a, b))
+        acc = fold_top(s)
+    return _ext_trim([tuple(a) for a in acc], F)
 
 
 def _split_roots(w: list[ExtElement], F: ExtField, seed: int, every: bool) -> list[ExtElement]:

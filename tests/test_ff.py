@@ -184,6 +184,20 @@ class TestFrobenius:
             a = f.element_from_index(rng.randrange(f.order()))
             assert f.frobenius(a) == f.pow(a, 7)
 
+    @pytest.mark.parametrize(
+        "p, modulus",
+        [(101, [5, 1]), (13, [2, 0, 1]), (5, [2, 0, 0, 0, 1]), (89, [3, 1, 0, 0, 0, 1])],
+        ids=["101^1", "13^2", "5^4", "89^5"],
+    )
+    def test_frobenius_matrix_matches_pow_and_inverts(self, p, modulus):
+        # frobenius reads precomputed columns; pow and mul do not
+        f = ExtField(p, len(modulus) - 1, modulus)
+        rng = random.Random(p)
+        for _ in range(200):
+            a = f.element_from_index(rng.randrange(1, f.order()))
+            assert f.frobenius(a) == f.pow(a, p)
+            assert f.mul(a, f.inv(a)) == f.one
+
     def test_frobenius_order_k(self):
         f = f7_cubic()
         rng = random.Random(3)

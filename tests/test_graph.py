@@ -333,10 +333,24 @@ class TestCensus:
             with pytest.raises(ValueError, match="planted subset"):
                 G.sample_max_common(4, trials=10**6, seed=0, planted=(bad,))
 
+    def test_second_census_reuses_the_bitsets(self, monkeypatch):
+        G = make_graph(3, 4)
+        sampled = G.sample_max_common(4, trials=300, seed=7)
+        exhaustive = G.census_max_common(3)
+        bitsets = G._all_bitsets()
+
+        def no_rows(graph, idx):
+            raise AssertionError("bitsets rebuilt")
+
+        monkeypatch.setattr(NormGraph, "_norm_row", no_rows)
+        assert G.sample_max_common(4, trials=300, seed=7) == sampled
+        assert G.census_max_common(3) == exhaustive
+        assert G._all_bitsets() is bitsets
+
     def test_sample_memory_does_not_grow_with_trials(self):
         # 200,000 kept 3-subsets alone would take about 16 MB
         G = make_graph(5, 3)
-        G._all_bitsets()  # builds the cached norm table outside the traced region
+        G._all_bitsets()  # builds the cached bitsets outside the traced region
         tracemalloc.start()
         try:
             G.sample_max_common(3, trials=200_000, seed=0)

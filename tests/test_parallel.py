@@ -2,9 +2,12 @@
 commands start a pool at all."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import normgraph
 from normgraph import cli, parallel
 
 
@@ -71,3 +74,16 @@ def test_one_pool_per_search_and_none_for_a_sampled_census(pools, capsys):
     census = ["census", "--p", "5", "--t", "3", "--k", "3", "--sample", "--trials", "500"]
     assert cli.main(census + ["--jobs", "2"]) == 0
     assert len(pools) == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter: this one has imported the pool already
+    src = os.path.dirname(os.path.dirname(normgraph.__file__))
+    probe = (
+        "import sys, normgraph.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import pytest
 
 from normgraph.ff import ExtField
 from normgraph.general import shifted_poly
+from normgraph.graph import _smallest_irreducible
 from normgraph.polys import (
     _linear_pow_mod,
     discriminant,
@@ -431,6 +432,25 @@ class TestRootExtraction:
                     delta = element()
                     assert _linear_pow_mod(delta, e, w, F) == naive_ext_pow_mod(
                         [delta, F.one], e, w, F)
+
+
+    @pytest.mark.parametrize("p, k", [(7, 2), (13, 3), (5, 4), (3, 5), (11, 5)])
+    def test_frobenius_split_power_matches_naive_reference(self, p, k):
+        # e = (|F|-1)/2 over a base-field w takes the Frobenius split; the same
+        # w with one coefficient moved off F_p must take the plain power
+        F = ExtField(p, k, _smallest_irreducible(p, k))
+        rng = random.Random(p * k)
+        off = F.gen  # not in F_p, since k > 1
+        for n in (2, 3, 4):
+            for _ in range(3):
+                w = [F.from_base(rng.randrange(p)) for _ in range(n)] + [F.one]
+                j = rng.randrange(n)
+                moved = w[:j] + [F.add(w[j], off)] + w[j + 1:]
+                delta = F.element_from_index(rng.randrange(F.order()))
+                for e in ((F.order() - 1) // 2, (F.order() - 1) // (p - 1)):
+                    for v in (w, moved):
+                        assert _linear_pow_mod(delta, e, v, F) == naive_ext_pow_mod(
+                            [delta, F.one], e, v, F), (n, e, v)
 
 
 class TestResidues:
