@@ -433,7 +433,6 @@ class TestRootExtraction:
                     assert _linear_pow_mod(delta, e, w, F) == naive_ext_pow_mod(
                         [delta, F.one], e, w, F)
 
-
     @pytest.mark.parametrize("p, k", [(7, 2), (13, 3), (5, 4), (3, 5), (11, 5)])
     def test_frobenius_split_power_matches_naive_reference(self, p, k):
         # e = (|F|-1)/2 over a base-field w takes the Frobenius split; the same
