@@ -5,15 +5,16 @@ Extension elements are plain tuples of k ints (coefficients of
 1, x, ..., x^(k-1), little-endian) reduced mod p.  All arithmetic is
 exact integer arithmetic; nothing here floats.
 
-Frobenius a -> a^p is F_p-linear: each field keeps its matrix, the columns
-x^(ip) mod the modulus for i < k, so one map is k^2 scalar products.
+Frobenius a -> a^p is F_p-linear: each field keeps its matrix
+(polys.frobenius_matrix), the columns x^(ip) mod the modulus for i < k, so
+one map is k^2 scalar products.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .polys import fp_inv, fp_pow, is_irreducible
+from .polys import fp_inv, fp_pow, frobenius_matrix, is_irreducible, poly_trim, resultant
 from .primes import is_prime
 
 ExtElement = tuple[int, ...]
@@ -51,8 +52,7 @@ class ExtField:
             self.gen: ExtElement = ((-mod[0]) % p,)
         else:
             self.gen = (0, 1) + (0,) * (k - 2)
-        xp = self.pow(self.gen, p)  # row j of _frob: coefficient j of each x^(ip)
-        self._frob = list(zip(*(self.pow(xp, i) for i in range(k))))
+        self._frob = frobenius_matrix(mod, p)
 
     # -- construction -----------------------------------------------------
 
@@ -153,34 +153,10 @@ class ExtField:
         return acc[0]
 
     def norm_det(self, a: ExtElement) -> int:
-        """Norm to F_p as det of the multiplication-by-a matrix."""
-        p, k = self.p, self.k
-        # column j = a * x^j expressed in the power basis
-        cols = []
-        cur = a
-        for _ in range(k):
-            cols.append(cur)
-            cur = self.mul(cur, self.gen)
-        m = [[cols[j][i] for j in range(k)] for i in range(k)]
-        det = 1
-        for col in range(k):
-            pivot = None
-            for row in range(col, k):
-                if m[row][col]:
-                    pivot = row
-                    break
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det % p
-            det = det * m[col][col] % p
-            inv_piv = fp_inv(m[col][col], p)
-            for row in range(col + 1, k):
-                factor = m[row][col] * inv_piv % p
-                if factor:
-                    m[row] = [(x - factor * y) % p for x, y in zip(m[row], m[col])]
-        return det
+        """Norm to F_p as det of the multiplication-by-a matrix, which for
+        the monic modulus m is Res(m, a): Euclid over F_p on the coefficient
+        lists, with no field product, Frobenius or inverse."""
+        return resultant(self.modulus, poly_trim(a), self.p)
 
     def norm_pow(self, a: ExtElement) -> int:
         """Norm to F_p as a^((p^k - 1)/(p - 1))."""

@@ -132,7 +132,6 @@ class NormGraph:
         self.field = field
         self.qprime = p ** (t - 1)
         self.n = self.qprime * (p - 1)
-        self._elements: list[ExtElement] | None = None
         self._norms: list[int] | None = None
         self._blocks: list[list[str]] | None = None
         self._bitsets: list[int] | None = None
@@ -177,18 +176,13 @@ class NormGraph:
                 f"graph has {self.n} vertices, above the enumeration guard {ENUM_LIMIT}"
             )
 
-    def _element_list(self) -> list[ExtElement]:
-        if self._elements is None:
-            self._require_enumerable()
-            self._elements = list(self.field.elements())
-        return self._elements
-
     def _norm_table(self) -> list[int]:
         """N(e) for every element e in index order, by two independent routes
         that must agree: one conjugate product per element, and N(g^i) =
         N(g)^i along the powers of a primitive element g."""
         if self._norms is None:
-            conj = [self.field.norm_conj(e) for e in self._element_list()]
+            self._require_enumerable()
+            conj = [self.field.norm_conj(e) for e in self.field.elements()]
             powers = _power_norm_table(self.field)
             if conj != powers:
                 i = next(i for i, (x, y) in enumerate(zip(conj, powers)) if x != y)

@@ -70,10 +70,6 @@ def eval_in_ext(h, x: ExtElement, F: ExtField) -> ExtElement:
     return acc
 
 
-def poly_add(a, b, p: int) -> list[int]:
-    return poly_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
-
-
 def poly_sub(a, b, p: int) -> list[int]:
     return poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
@@ -189,46 +185,58 @@ def poly_pow_mod(base, e: int, h, p: int) -> list[int]:
     return result
 
 
-def poly_compose_mod(f, g, h, p: int) -> list[int]:
-    """f(g) mod h over F_p, by Horner in the quotient ring."""
-    acc: list[int] = []
-    for c in reversed(_norm(f, p)):
-        acc = poly_divmod(poly_mul(acc, g, p), h, p)[1]
-        if c:
-            acc = poly_add(acc, [c], p)
-    return acc
+def frobenius_matrix(h, p: int) -> list[tuple[int, ...]]:
+    """The p-power map of F_p[x]/(h) as a k x k matrix, k = deg h: row j
+    holds coefficient j of each x^(ip) mod h, i < k, so that u^p, the image
+    of u = sum u_i x^i, is the matrix times u's coefficients (u(x)^p ==
+    u(x^p) mod p)."""
+    k = len(h) - 1
+    xp = poly_pow_mod([0, 1], p, h, p)
+    return list(zip(*((poly_pow_mod(xp, i, h, p) + [0] * k)[:k] for i in range(k))))
 
 
-def _coprime_to_cubic(u: list[int], h: list[int], p: int) -> bool:
-    """gcd(u, h) == 1 for canonical u of degree < 3 and a canonical cubic h.
-    Euclid on lists that every step leaves canonical, so nothing is
-    re-normalised or re-trimmed between steps."""
-    a, b = h, u
+def resultant(f, g, p: int) -> int:
+    """Res(f, g) over F_p for canonical f and g, by Euclid (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 6): with n = deg f, m = deg g
+    and l = deg(f mod g), Res(f, g) = (-1)^(nm) lc(g)^(n-l) Res(g, f mod g),
+    Res(f, c) = c^n for a constant c, and 0 once g or a remainder vanishes.
+    So it is nonzero iff gcd(f, g) = 1, and for monic f it is the product of
+    g over f's roots.  Remainders are taken in place on canonical lists."""
+    if not f or not g:
+        return 0
+    res, a, b = 1, f, g
     while len(b) > 1:
-        inv_lead = pow(b[-1], -1, p)
-        n = len(b) - 1
+        lead, n, m = b[-1], len(a) - 1, len(b) - 1
+        inv_lead = pow(lead, -1, p)
         r = list(a)
-        for d in range(len(a) - 1, n - 1, -1):
+        for d in range(n, m - 1, -1):
             c = r[d] * inv_lead % p
             if c:
-                for j in range(n):
-                    r[d - n + j] = (r[d - n + j] - c * b[j]) % p
-        del r[n:]
+                for j in range(m):
+                    r[d - m + j] = (r[d - m + j] - c * b[j]) % p
+        del r[m:]
         while r and not r[-1]:
             r.pop()
+        if not r:
+            return 0
+        # every exponent is at most max(deg f, deg g), so ** beats a pow call
+        res = res * lead ** (n - len(r) + 1) % p
+        if n & m & 1:
+            res = -res
         a, b = b, r
-    return len(b) == 1  # a nonzero constant remainder; empty means gcd = a
+    return res * b[0] ** (len(a) - 1) % p
 
 
 def is_irreducible(h, p: int) -> bool:
     """Irreducibility test over F_p.
 
     A cubic is irreducible iff it has no root in F_p, iff it is coprime to
-    x^p - x (the product of all x - a over F_p): one poly_pow_mod and one
-    Euclid loop.  Every other degree d >= 2 takes the distinct-degree test:
-    h is irreducible iff x^(p^d) == x mod h and, for every prime l dividing
-    d, x^(p^(d/l)) - x is coprime to h.  The iterated Frobenius powers are
-    built by modular composition with x^p, using u(x)^p == u(x^p) mod (h, p).
+    x^p - x (the product of all x - a over F_p), iff Res(h, x^p - x) != 0:
+    one _cubic_pow_mod on the monic h (poly_pow_mod would normalise it
+    again) and one resultant.  Any other degree d >= 2 takes the
+    distinct-degree test: h is irreducible iff x^(p^d) == x mod h and
+    Res(h, x^(p^(d/l)) - x) != 0 for every prime l dividing d, with each
+    x^(p^i) one product by the Frobenius matrix of F_p[x]/(h).
     """
     h = poly_monic(h, p)
     d = len(h) - 1
@@ -237,18 +245,16 @@ def is_irreducible(h, p: int) -> bool:
     if d == 1:
         return True
     x = [0, 1]
-    xp = poly_pow_mod(x, p, h, p)
     if d == 3:
-        return _coprime_to_cubic(poly_sub(xp, x, p), h, p)
-    powers = [x, xp]  # powers[i] = x^(p^i) mod h
-    for _ in range(d - 1):
-        powers.append(poly_compose_mod(powers[-1], xp, h, p))
+        return resultant(h, poly_sub(_cubic_pow_mod(x, p, h, p), x, p), p) != 0
+    frob = frobenius_matrix(h, p)
+    powers = [x]  # powers[i] = x^(p^i) mod h
+    for _ in range(d):
+        u = powers[-1] + [0] * (d - len(powers[-1]))
+        powers.append(poly_trim([sum(map(operator.mul, row, u)) % p for row in frob]))
     if powers[d] != x:
         return False
-    for ell in prime_factors(d):
-        if len(poly_gcd(poly_sub(powers[d // ell], x, p), h, p)) > 1:
-            return False
-    return True
+    return all(resultant(h, poly_sub(powers[d // ell], x, p), p) for ell in prime_factors(d))
 
 
 def roots_in_base(h, p: int) -> dict[int, bool]:
@@ -369,9 +375,7 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
     norm_e = (F.order() - 1) // (p - 1)
     if k == 1 or e % norm_e or any(any(a[1:]) for a in w):
         return _ext_trim([tuple(a) for a in power(e)], F)
-    h = [a[0] for a in w]
-    xp = poly_pow_mod([0, 1], p, h, p)  # row j of phi's matrix: coefficient j of each x^(ip)
-    rows = list(zip(*((poly_pow_mod(xp, i, h, p) + [0] * n)[:n] for i in range(n))))
+    rows = frobenius_matrix([a[0] for a in w], p)
     acc = conj = power(e // norm_e)
     for _ in range(k - 1):
         conj_t = list(zip(*map(F.frobenius, conj)))  # conj_t[t][i]: coefficient t of a_i^p

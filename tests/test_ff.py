@@ -275,6 +275,20 @@ class TestNorm:
                 n1 = f.norm_conj(a)
                 assert n1 == f.norm_det(a) == f.norm_pow(a)
 
+    def test_determinant_route_uses_no_field_arithmetic(self, monkeypatch):
+        # norm_det must stay independent of norm_conj: with every field
+        # product, Frobenius map, power and inverse disabled, it still gives
+        # the cubic expansion on all of GF(7^3)
+        def forbidden(*args):
+            raise AssertionError("determinant route reached field arithmetic")
+
+        for name in ("mul", "frobenius", "pow", "inv"):
+            monkeypatch.setattr(ExtField, name, forbidden)
+        f = f7_cubic()
+        for el in f.elements():
+            c, b, a = el
+            assert f.norm_det(el) == (c**3 + 2 * b**3 + 4 * a**3 - 6 * a * b * c) % 7
+
     def test_norm_multiplicative(self):
         f = f7_cubic()
         rng = random.Random(6)

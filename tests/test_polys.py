@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,8 +25,10 @@ from normgraph.polys import (
     poly_trim,
     power_residue,
     primitive_nth_root,
+    resultant,
     roots_in_base,
 )
+from normgraph.primes import prime_factors
 
 # the cubic whose roots parametrize half the K_{4,6} witness
 WITNESS_CUBIC = [7, 3, 21, 1]
@@ -223,6 +226,75 @@ class TestIrreducibility:
         prod = poly_mul([1, 0, 1], [2, 0, 1], 7)
         assert all(poly_eval(prod, x, 7) != 0 for x in range(7))
         assert is_irreducible(prod, 7) is False
+
+    @pytest.mark.parametrize(
+        "p, d",
+        [(2, d) for d in range(2, 9)] + [(3, d) for d in range(2, 6)] + [(5, d) for d in range(2, 5)],
+    )
+    def test_counts_match_gauss(self, p, d):
+        # the monic irreducibles of degree d over F_p number
+        # (1/d) * sum over e | d of mu(e) * p^(d/e)
+        def mobius(e):
+            factors = prime_factors(e)
+            squarefree = math.prod(factors) == e
+            return (-1) ** len(factors) if squarefree else 0
+
+        gauss = sum(mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        found = 0
+        for n in range(p**d):
+            h = [n // p**i % p for i in range(d)] + [1]
+            found += is_irreducible(h, p)
+        assert found == gauss
+
+
+class TestResultant:
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    def test_matches_integer_resultant(self, p):
+        # leading coefficients nonzero mod p keep both degrees, so reduction
+        # mod p commutes with the resultant
+        rng = random.Random(p)
+        for _ in range(300):
+            f, g = (
+                [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))]
+                + [rng.choice([c for c in range(1, 2 * p) if c % p])]
+                for _ in range(2)
+            )
+            got = resultant(poly_trim([c % p for c in f]), poly_trim([c % p for c in g]), p)
+            assert got == int_resultant(f, g) % p
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    def test_zero_iff_common_factor(self, p):
+        rng = random.Random(p + 1)
+        common = 0
+        for _ in range(300):
+            shared = [rng.randrange(p), 1] if rng.random() < 0.5 else [1]
+            f, g = (
+                poly_mul(shared, [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [1], p)
+                for _ in range(2)
+            )
+            nontrivial = len(poly_gcd(f, g, p)) > 1
+            common += nontrivial
+            assert (resultant(f, g, p) == 0) == nontrivial
+        assert 0 < common < 300
+
+    def test_zero_and_constant(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            f = [rng.randrange(7) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, 7)]
+            c = rng.randrange(1, 7)
+            assert resultant(f, [], 7) == 0
+            assert resultant(f, [c], 7) == pow(c, len(f) - 1, 7)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    def test_swap_sign(self, p):
+        rng = random.Random(p + 2)
+        for _ in range(300):
+            f, g = (
+                [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
+                for _ in range(2)
+            )
+            sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
+            assert resultant(g, f, p) == sign * resultant(f, g, p) % p
 
 
 class TestRoots:
