@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import general, graph, k46
-from .graph import CENSUS_BUDGET, NormGraph, make_graph, witness_to_json
+from .graph import CENSUS_BUDGET, NormGraph, WitnessReport, make_graph, witness_to_json
 from .polys import find_root_in_ext
 # primes_up_to is unused here; perfbench/layers.py rebinds cli.primes_up_to
 from .primes import PSI_12, SIEVE_LIMIT, primes_up_to  # noqa: F401
@@ -65,15 +65,27 @@ def cmd_sieve(args) -> int:
 # -- witness46 -------------------------------------------------------------------
 
 
-def _check_lines(report) -> list[str]:
+def _check_lines(report: WitnessReport) -> list[str]:
+    """A witness's check counts, then every failure, then the result.  A
+    bare biclique is a report with no identity checks and no identity line."""
+    rep = report.biclique.report
     adj_failed = len(report.adjacency_failures)
     id_failed = len(report.identity_failures)
     lines = [
         f"adjacency checks: {report.adjacency_checked - adj_failed}"
         f"/{report.adjacency_checked} passed",
-        f"identity checks: {report.identity_checked - id_failed}"
-        f"/{report.identity_checked} passed",
     ]
+    if report.identity_checked:
+        lines.append(
+            f"identity checks: {report.identity_checked - id_failed}"
+            f"/{report.identity_checked} passed"
+        )
+    if not rep.left_distinct:
+        lines.append("  left side has duplicate vertices")
+    if not rep.right_distinct:
+        lines.append("  right side has duplicate vertices")
+    if not rep.disjoint:
+        lines.append("  sides are not disjoint")
     for uid, vid in report.adjacency_failures:
         lines.append(f"  adjacency failed: vertex ids {uid}, {vid}")
     for msg in report.identity_failures:
@@ -211,23 +223,8 @@ def _verify_graph_witness(data: dict, L, R) -> tuple[list[str], bool]:
         report = k46.verify_witness(canonical)
         return ["witness kind: canonical 4x6"] + _check_lines(report), report.passed
 
-    biclique = G.verify_biclique(L, R)
-    rep = biclique.report
-    lines = [
-        "witness kind: graph biclique",
-        f"adjacency checks: {rep.pairs_checked - len(rep.failed_pairs)}"
-        f"/{rep.pairs_checked} passed",
-    ]
-    if not rep.left_distinct:
-        lines.append("  left side has duplicate vertices")
-    if not rep.right_distinct:
-        lines.append("  right side has duplicate vertices")
-    if not rep.disjoint:
-        lines.append("  sides are not disjoint")
-    for uid, vid in rep.failed_pairs:
-        lines.append(f"  adjacency failed: vertex ids {uid}, {vid}")
-    lines.append(f"result: {'PASS' if rep.passed else 'FAIL'}")
-    return lines, rep.passed
+    report = WitnessReport(G.verify_biclique(L, R), identity_checked=0, identity_failures=[])
+    return ["witness kind: graph biclique"] + _check_lines(report), report.passed
 
 
 def _verify_general_witness_data(data: dict, A, B) -> tuple[list[str], bool]:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import operator
 
-from .polys import fp_inv, fp_pow, frobenius_matrix, is_irreducible, poly_trim, resultant
+from .polys import (fp_inv, fp_pow, frobenius_matrix, is_irreducible, mulmod, poly_trim, powmod,
+                    resultant)
 from .primes import is_prime
 
 ExtElement = tuple[int, ...]
@@ -30,6 +31,7 @@ class ExtField:
 
     The modulus must be monic of degree k and irreducible mod p; the
     constructor verifies all three (irreducibility by polys.is_irreducible).
+    Products and powers are polys.mulmod and polys.powmod on the modulus.
     """
 
     def __init__(self, p: int, k: int, modulus: list[int] | tuple[int, ...]):
@@ -75,46 +77,12 @@ class ExtField:
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """a*b; the ints of a and b may be unreduced or negative."""
-        p, k, mod = self.p, self.k, self.modulus
-        if k == 1:  # root finding over F_p runs on GF(p^1)
-            return (a[0] * b[0] % p,)
-        if k == 3:
-            # written out, as in polys._cubic_pow_mod: a call per product
-            # costs more than the arithmetic, and root extraction in GF(p^3)
-            # is made of these products
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            f0, f1, f2, _ = mod
-            d4 = a2 * b2 % p
-            d3 = (a1 * b2 + a2 * b1 - d4 * f2) % p
-            d2 = a0 * b2 + a1 * b1 + a2 * b0 - d4 * f1 - d3 * f2
-            d1 = a0 * b1 + a1 * b0 - d4 * f0 - d3 * f1
-            return ((a0 * b0 - d3 * f0) % p, d1 % p, d2 % p)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        # reduce x^(k+d) via the monic modulus, top down
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j in range(k):
-                    prod[d - k + j] -= c * mod[j]
-        return tuple(c % p for c in prod[:k])
+        return mulmod(a, b, self.modulus, self.p)
 
     def pow(self, a: ExtElement, e: int) -> ExtElement:
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        return powmod(a, e, self.modulus, self.p)
 
     def inv(self, a: ExtElement) -> ExtElement:
         """Inverse from the norm: a times its other conjugates

@@ -49,7 +49,10 @@ def poly_trim(h: list[int]) -> list[int]:
 
 
 def _norm(h, p: int) -> list[int]:
-    return poly_trim([c % p for c in h])
+    h = [c % p for c in h]
+    while h and h[-1] == 0:
+        h.pop()
+    return h
 
 
 def poly_eval(h, x: int, p: int) -> int:
@@ -106,8 +109,8 @@ def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
 
 def poly_monic(h, p: int) -> list[int]:
     h = _norm(h, p)
-    if not h:
-        return []
+    if not h or h[-1] == 1:
+        return h
     inv_lead = fp_inv(h[-1], p)
     return [c * inv_lead % p for c in h]
 
@@ -124,24 +127,60 @@ def poly_deriv(h, p: int) -> list[int]:
     return poly_trim([c * i % p for i, c in enumerate(h)][1:])
 
 
-def _cubic_pow_mod(base, e: int, h: list[int], p: int) -> list[int]:
-    # h is canonical of degree 3.  With m = h / lc(h) monic,
-    # x^3 == r0 + r1*x + r2*x^2 where r_i = -m_i.  A product's x^4 term is
-    # folded into x^3 (x^4 == r0*x + r1*x^2 + r2*x^3) and x^3 into the three
-    # low terms, so the power stays on three coefficients: nothing is
-    # trimmed, normalised or long-divided inside the loop.  The products
-    # are written out in place because a call per product costs more than
-    # the arithmetic.  A base below degree 3 is already a remainder, so it is
-    # only reduced mod p; multiplying by x is a shift plus one fold of x^3.
-    inv_lead = fp_inv(h[3], p)
-    r0, r1, r2 = (-c * inv_lead % p for c in h[:3])
-    if len(base) < 4:
-        b0, b1, b2 = ([c % p for c in base] + [0, 0, 0])[:3]
-    else:
-        b0, b1, b2 = (poly_divmod(base, h, p)[1] + [0, 0, 0])[:3]
-    shift = (b0, b1, b2) == (0, 1, 0)
+def mulmod(a, b, mod, p: int) -> tuple[int, ...]:
+    """a*b mod the monic mod of degree k >= 1 over F_p, irreducible or not.
+    a and b hold k coefficients each, as ints that may be unreduced or
+    negative; the product is k reduced coefficients."""
+    k = len(mod) - 1
+    if k == 1:  # root finding over F_p runs on GF(p^1)
+        return (a[0] * b[0] % p,)
+    if k == 3:
+        # written out: a call per product costs more than the arithmetic,
+        # and root extraction in GF(p^3) is made of these products
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        f0, f1, f2, _ = mod
+        d4 = a2 * b2 % p
+        d3 = (a1 * b2 + a2 * b1 - d4 * f2) % p
+        d2 = a0 * b2 + a1 * b1 + a2 * b0 - d4 * f1 - d3 * f2
+        d1 = a0 * b1 + a1 * b0 - d4 * f0 - d3 * f1
+        return ((a0 * b0 - d3 * f0) % p, d1 % p, d2 % p)
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    # reduce x^(k+d) via the monic modulus, top down
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j in range(k):
+                prod[d - k + j] -= c * mod[j]
+    return tuple(c % p for c in prod[:k])
+
+
+def powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
+    """a^e mod the monic mod over F_p for e >= 0, with a as in mulmod: left
+    to right, so every multiply is by a."""
+    r = (1,) + (0,) * (len(mod) - 2)
+    for bit in bin(e)[2:]:
+        r = mulmod(r, r, mod, p)
+        if bit == "1":
+            r = mulmod(r, a, mod, p)
+    return r
+
+
+def _cubic_pow_mod(e: int, h, p: int) -> tuple[int, int, int]:
+    # x^e mod the monic cubic h over F_p, the sieve's hot loop.  With
+    # x^3 == r0 + r1*x + r2*x^2, r_i = -h_i, a square's x^4 term is folded
+    # into x^3 (x^4 == r0*x + r1*x^2 + r2*x^3) and x^3 into the three low
+    # terms, so the power stays on three coefficients and nothing is
+    # trimmed or long-divided inside the loop.  The square is written out
+    # because a call per product costs more than the arithmetic.  Left to
+    # right, so every multiply is by x: a shift plus one fold of x^3.
+    r0, r1, r2 = (-c % p for c in h[:3])
     c0, c1, c2 = 1, 0, 0
-    for bit in bin(e)[2:]:  # left to right, so every multiply is by b
+    for bit in bin(e)[2:]:
         d4 = c2 * c2 % p
         d3 = (2 * c1 * c2 + d4 * r2) % p
         d2 = 2 * c0 * c2 + c1 * c1 + d4 * r1
@@ -149,50 +188,42 @@ def _cubic_pow_mod(base, e: int, h: list[int], p: int) -> list[int]:
         c0 = (c0 * c0 + d3 * r0) % p
         c1 = (d1 + d3 * r1) % p
         c2 = (d2 + d3 * r2) % p
-        if bit == "1" and shift:
+        if bit == "1":
             c0, c1, c2 = c2 * r0 % p, (c0 + c2 * r1) % p, (c1 + c2 * r2) % p
-        elif bit == "1":
-            d4 = c2 * b2 % p
-            d3 = (c1 * b2 + c2 * b1 + d4 * r2) % p
-            d2 = c0 * b2 + c1 * b1 + c2 * b0 + d4 * r1
-            d1 = c0 * b1 + c1 * b0 + d4 * r0
-            c0 = (c0 * b0 + d3 * r0) % p
-            c1 = (d1 + d3 * r1) % p
-            c2 = (d2 + d3 * r2) % p
-    return poly_trim([c0, c1, c2])
+    return c0, c1, c2
 
 
 def poly_pow_mod(base, e: int, h, p: int) -> list[int]:
-    """base^e mod h over F_p, by square-and-multiply.
+    """base^e mod h over F_p, as the canonical remainder.
 
-    When h reduced mod p has degree 3, the powers are kept as three fixed
-    coefficients in F_p[x]/(h) and reduced through h's low coefficients;
-    every other degree multiplies whole lists and reduces each product with
-    poly_divmod.  Both give the canonical remainder.
+    h is made monic and need not be irreducible.  x^e mod a cubic takes
+    _cubic_pow_mod, the sieve's hot loop; every other power is powmod on
+    base's remainder mod h.
     """
     if e < 0:
         raise ValueError("negative exponent")
-    h = _norm(h, p)
-    if len(h) == 4:
-        return _cubic_pow_mod(base, e, h, p)
-    result = [1]
-    base = poly_divmod(base, h, p)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul(result, base, p), h, p)[1]
-        base = poly_divmod(poly_mul(base, base, p), h, p)[1]
-        e >>= 1
-    return result
+    h = poly_monic(h, p)
+    base = poly_divmod(base, h, p)[1]  # raises ZeroDivisionError on h == 0
+    k = len(h) - 1
+    if k == 3 and base == [0, 1]:
+        return poly_trim(_cubic_pow_mod(e, h, p))
+    if k == 0:  # every remainder mod a unit is 0, but base^0 stays [1]
+        return [] if e else [1]
+    return poly_trim(powmod(base + [0] * (k - len(base)), e, h, p))
 
 
 def frobenius_matrix(h, p: int) -> list[tuple[int, ...]]:
-    """The p-power map of F_p[x]/(h) as a k x k matrix, k = deg h: row j
-    holds coefficient j of each x^(ip) mod h, i < k, so that u^p, the image
-    of u = sum u_i x^i, is the matrix times u's coefficients (u(x)^p ==
-    u(x^p) mod p)."""
+    """The p-power map of F_p[x]/(h), for monic h of degree k, as a k x k
+    matrix: row j holds coefficient j of each x^(ip) mod h, i < k, so that
+    u^p, the image of u = sum u_i x^i, is the matrix times u's coefficients
+    (u(x)^p == u(x^p) mod p).  Column i is column i - 1 times x^p."""
     k = len(h) - 1
     xp = poly_pow_mod([0, 1], p, h, p)
-    return list(zip(*((poly_pow_mod(xp, i, h, p) + [0] * k)[:k] for i in range(k))))
+    xp += [0] * (k - len(xp))
+    cols = [(1,) + (0,) * (k - 1)]
+    for _ in range(k - 1):
+        cols.append(mulmod(cols[-1], xp, h, p))
+    return list(zip(*cols))
 
 
 def resultant(f, g, p: int) -> int:
@@ -232,11 +263,11 @@ def is_irreducible(h, p: int) -> bool:
 
     A cubic is irreducible iff it has no root in F_p, iff it is coprime to
     x^p - x (the product of all x - a over F_p), iff Res(h, x^p - x) != 0:
-    one _cubic_pow_mod on the monic h (poly_pow_mod would normalise it
-    again) and one resultant.  Any other degree d >= 2 takes the
-    distinct-degree test: h is irreducible iff x^(p^d) == x mod h and
-    Res(h, x^(p^(d/l)) - x) != 0 for every prime l dividing d, with each
-    x^(p^i) one product by the Frobenius matrix of F_p[x]/(h).
+    one _cubic_pow_mod on the monic h and one resultant.  Any other degree
+    d >= 2 takes the distinct-degree test: h is irreducible iff
+    x^(p^d) == x mod h and Res(h, x^(p^(d/l)) - x) != 0 for every prime l
+    dividing d, with each x^(p^i) one product by the Frobenius matrix of
+    F_p[x]/(h).  h is normalised once and scaled only when not monic.
     """
     h = poly_monic(h, p)
     d = len(h) - 1
@@ -244,9 +275,10 @@ def is_irreducible(h, p: int) -> bool:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if d == 1:
         return True
+    if d == 3:  # x^p - x by editing coefficient 1 of x^p mod h
+        c0, c1, c2 = _cubic_pow_mod(p, h, p)
+        return resultant(h, poly_trim([c0, (c1 - 1) % p, c2]), p) != 0
     x = [0, 1]
-    if d == 3:
-        return resultant(h, poly_sub(_cubic_pow_mod(x, p, h, p), x, p), p) != 0
     frob = frobenius_matrix(h, p)
     powers = [x]  # powers[i] = x^(p^i) mod h
     for _ in range(d):
@@ -258,12 +290,13 @@ def is_irreducible(h, p: int) -> bool:
 
 
 def roots_in_base(h, p: int) -> dict[int, bool]:
-    """All roots of h in F_p, ascending, mapped to a repeated-root flag (true
-    when gcd(h, h') also vanishes there).  g = gcd(h, x^p - x) is the product
-    of x - a over the distinct roots a.  Over F_2 they are found by evaluating
-    0 and 1, over odd p by the splitter's every-root mode on the degree-1
-    field ExtField(p, 1, [0, 1]): polynomial in deg h and log p, and the
-    result does not depend on its seed.  Every root is checked by evaluation."""
+    """All roots of h in F_p, ascending, mapped to a repeated-root flag,
+    true when h' also vanishes there (h = (x - r)g gives h'(r) = g(r)).
+    g = gcd(h, x^p - x) is the product of x - a over the distinct roots a.
+    Over F_2 they are found by evaluating 0 and 1, over odd p by the
+    splitter's every-root mode on the degree-1 field ExtField(p, 1, [0, 1]):
+    polynomial in deg h and log p, and the result does not depend on its
+    seed.  Every root is checked by evaluation."""
     # imported here because ff imports polys at load
     from .ff import ExtField
 
@@ -279,8 +312,8 @@ def roots_in_base(h, p: int) -> dict[int, bool]:
         roots = sorted(r for (r,) in _split_roots([(c,) for c in g], F, 0, every=True))
     if any(poly_eval(h, r, p) for r in roots):
         raise AssertionError("a split root fails to satisfy the polynomial")
-    sq = poly_gcd(h, poly_deriv(h, p), p)
-    return {r: poly_eval(sq, r, p) == 0 for r in roots}
+    deriv = poly_deriv(h, p)
+    return {r: poly_eval(deriv, r, p) == 0 for r in roots}
 
 
 # -- polynomials with extension-field coefficients (for root extraction) --

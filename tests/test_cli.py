@@ -625,6 +625,57 @@ class TestVerify:
         assert "not disjoint" in r.stdout
 
 
+    @staticmethod
+    def verify_edited(tmp_path, capsys, argv, edit):
+        # write a passing witness, edit its JSON, verify it in process
+        out = tmp_path / "w.json"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        edit(data)
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = cli.main(["verify", str(out)])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_repeated_vertex_in_canonical_witness_names_the_reason(self, tmp_path, capsys):
+        def repeat(data):
+            data["R"][5] = data["R"][0]
+
+        code, lines = self.verify_edited(tmp_path, capsys, ["witness46", "--p", "7"], repeat)
+        assert code == 1
+        assert lines == [
+            "witness kind: canonical 4x6",
+            "adjacency checks: 24/24 passed",
+            "identity checks: 24/24 passed",
+            "  right side has duplicate vertices",
+            "result: FAIL",
+        ]
+
+    def test_shared_vertex_in_canonical_witness_names_the_reason(self, tmp_path, capsys):
+        def share(data):
+            data["R"][0] = data["L"][0]
+
+        code, lines = self.verify_edited(tmp_path, capsys, ["witness46", "--p", "7"], share)
+        assert code == 1
+        assert lines[0] == "witness kind: canonical 4x6"
+        assert "  sides are not disjoint" in lines
+        assert lines[-1] == "result: FAIL"
+
+    def test_repeated_vertex_in_general_witness_names_the_reason(self, tmp_path, capsys):
+        def repeat(data):
+            data["A"][1] = data["A"][0]
+
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]
+        code, lines = self.verify_edited(tmp_path, capsys, argv, repeat)
+        assert code == 1
+        assert lines == [
+            "witness kind: general 3x2",
+            "adjacency checks: 6/6 passed",
+            "identity checks: 6/6 passed",
+            "  left side has duplicate vertices",
+            "result: FAIL",
+        ]
+
 class TestExport:
     def test_p3_t3_to_file(self, tmp_path):
         out = tmp_path / "edges.txt"

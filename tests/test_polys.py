@@ -11,9 +11,11 @@ from normgraph.polys import (
     discriminant,
     eval_in_ext,
     find_root_in_ext,
+    frobenius_matrix,
     int_poly_mul,
     int_resultant,
     is_irreducible,
+    mulmod,
     poly_deriv,
     poly_divmod,
     poly_eval,
@@ -24,6 +26,7 @@ from normgraph.polys import (
     poly_sub,
     poly_trim,
     power_residue,
+    powmod,
     primitive_nth_root,
     resultant,
     roots_in_base,
@@ -179,6 +182,86 @@ class TestCubicPowMod:
         with pytest.raises(ValueError):
             poly_pow_mod([0, 1], -1, [1, 0, 0, 1], 7)
 
+
+class TestMulmodPowmod:
+    PRIMES = [2, 3, 7, 10007]
+
+    @staticmethod
+    def moduli(rng, p, k):
+        """Monic moduli of degree k: one irreducible, and for k >= 2 a
+        product with a linear factor, a power of x and a square."""
+        # about 1 in k random monics is irreducible; the bound keeps a broken
+        # is_irreducible from looping forever
+        candidates = ([rng.randrange(p) for _ in range(k)] + [1] for _ in range(500))
+        out = [next(h for h in candidates if is_irreducible(h, p))]
+        if k >= 2:
+            cofactor = [rng.randrange(p) for _ in range(k - 1)] + [1]
+            out.append(poly_mul([rng.randrange(p), 1], cofactor, p))
+            out.append([0] * k + [1])
+        if k % 2 == 0:
+            half = [rng.randrange(p) for _ in range(k // 2)] + [1]
+            out.append(poly_mul(half, half, p))
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_mulmod_matches_poly_reference(self, p, k):
+        # unreduced and negative ints, on irreducible and reducible moduli
+        rng = random.Random(p * 10 + k)
+        for mod in self.moduli(rng, p, k):
+            for _ in range(40):
+                a = [rng.randrange(-3 * p, 3 * p) for _ in range(k)]
+                b = [rng.randrange(-3 * p, 3 * p) for _ in range(k)]
+                rem = poly_divmod(poly_mul(a, b, p), mod, p)[1]
+                assert mulmod(a, b, mod, p) == tuple(rem + [0] * (k - len(rem)))
+                assert mulmod(tuple(a), tuple(b), tuple(mod), p) == mulmod(a, b, mod, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_powmod_matches_naive_reference(self, p, k):
+        rng = random.Random(p * 20 + k)
+        for mod in self.moduli(rng, p, k):
+            for _ in range(6):
+                a = [rng.randrange(-3 * p, 3 * p) for _ in range(k)]
+                for e in (0, 1, 2, 3, p, p + 1, rng.randrange(p**k)):
+                    got = powmod(a, e, mod, p)
+                    assert len(got) == k
+                    assert poly_trim(got) == naive_pow_mod(a, e, mod, p), (mod, a, e)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_frobenius_matrix_columns_on_any_modulus(self, p, k):
+        # column i is x^(ip) mod h, and the matrix maps u to u^p mod h, for
+        # reducible h as well
+        rng = random.Random(p * 30 + k)
+        for h in self.moduli(rng, p, k):
+            frob = frobenius_matrix(h, p)
+            cols = list(zip(*frob))
+            assert len(cols) == k
+            for i, col in enumerate(cols):
+                assert poly_trim(col) == poly_pow_mod([0, 1], i * p, h, p)
+            for _ in range(10):
+                u = [rng.randrange(p) for _ in range(k)]
+                image = [sum(r * c for r, c in zip(row, u)) % p for row in frob]
+                assert poly_trim(image) == naive_pow_mod(u, p, h, p)
+
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_poly_pow_mod_any_degree(self, p):
+        # non-monic, unreduced moduli of every degree up to 6, long bases
+        rng = random.Random(p * 40)
+        for _ in range(60):
+            h = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(1, 7))]
+            h.append(rng.randrange(1, p) + p * rng.randrange(-2, 3))
+            base = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(10))]
+            for e in (0, 1, 2, p, rng.randrange(p**3)):
+                assert poly_pow_mod(base, e, h, p) == naive_pow_mod(base, e, h, p)
+
+    def test_poly_pow_mod_constant_and_zero_modulus(self):
+        assert poly_pow_mod([3, 1], 0, [5], 7) == [1]
+        assert poly_pow_mod([3, 1], 4, [5 + 7], 7) == []
+        with pytest.raises(ZeroDivisionError):
+            poly_pow_mod([3, 1], 2, [7, 0, 14], 7)
 
 class TestIrreducibility:
     def test_known_cubics_mod_7(self):

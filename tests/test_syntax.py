@@ -1,6 +1,7 @@
 """Checks on the source text itself. pyproject.toml declares Python >= 3.10:
 no source, test or benchmark file may use syntax that only a later grammar
-accepts. And no module in src/normgraph may import a name it does not use."""
+accepts. No module in src/normgraph may import a name it does not use, and
+no function or method there may go unused by the package itself."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,42 @@ def test_every_import_in_src_is_used():
     # perfbench/layers.py rebinds cli.primes_up_to to time the sieve's prime
     # generation, so cli imports it without using it
     assert found == {"cli.py": ["primes_up_to"]}
+
+
+# names that only tests call, each mapped to the reason it is kept
+TEST_ONLY = {
+    "ExtField.norm_pow": "a third norm route, a^((p^k - 1)/(p - 1)), against which the tests "
+    "and the acceptance gate hold the two routes that ExtField.norm runs",
+    "NormGraph.common_neighbors": "the acceptance gate compares the witness's right side "
+    "with it, and the tests check census counts and witness maximality with it",
+    "poly_mul": "products mod h go through mulmod; the tests check mulmod, powmod and the "
+    "Frobenius matrix against poly_divmod(poly_mul(a, b, p), h, p)",
+}
+
+def test_every_function_in_src_is_used():
+    """Every module-level function and method (dunders aside) in
+    src/normgraph is read somewhere in src/normgraph, as a name or an
+    attribute, or listed in an __all__; else it is in TEST_ONLY."""
+    defined, read, exported = set(), set(), set()
+    for path in sorted((ROOT / "src" / "normgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined |= {f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = {
+        name for name in defined
+        if not (bare := name.rpartition(".")[2]).startswith("__") and bare not in read | exported
+    }
+    assert unused == set(TEST_ONLY)
