@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: sieve, witness46, census, verify, export, witness-general.
-Exit codes: 0 success/verified, 1 mathematical failure (failed check,
-non-qualifying prime, bound violation, empty search), 2 usage or input
-error.  Every subcommand is deterministic given its flags; --jobs changes
-wall time, never output bytes.
+Exit codes: 0 success/verified, 1 mathematical failure (failed check or
+cross-check, non-qualifying prime, bound violation, empty search), 2 usage
+or input error.  Every subcommand is deterministic given its flags; --jobs
+changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -447,6 +447,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except OSError as exc:  # e.g. an --output path that cannot be written
         return _usage_error(str(exc))
+    except AssertionError as exc:  # a failed internal cross-check
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

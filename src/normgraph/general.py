@@ -62,21 +62,9 @@ def shifted_poly(t: int, theta: int, r: int, p: int) -> list[int]:
 def _prime_preconditions(t: int, m: int, p: int):
     """(thetas, zeta) when p satisfies the congruence/residue conditions,
     else None."""
-    if (p - 1) % (t - 2) != 0:
+    if (p - 1) % (t - 2) or (p - 1) % m or not power_residue(2, m, p):
         return None
-    zeta = primitive_nth_root(t - 2, p)
-    if zeta is None:
-        return None
-    if m == 1:
-        if 2 % p == 0:
-            return None
-        return (2 % p,), zeta
-    if (p - 1) % m != 0 or not power_residue(2, m, p):
-        return None
-    roots = sorted(roots_in_base([-2] + [0] * (m - 1) + [1], p))
-    if len(roots) != m:
-        raise AssertionError(f"x^{m} - 2 did not split into {m} distinct roots mod {p}")
-    return tuple(roots), zeta
+    return roots_in_base(m, 2, p), primitive_nth_root(t - 2, p)
 
 
 def _scan_prime(task) -> list[GeneralParams]:

@@ -19,6 +19,7 @@ from .polys import (
     discriminant,
     int_poly_mul,
     is_irreducible,
+    poly_eval,
     poly_pow_mod,
     power_residue,
     primitive_nth_root,
@@ -142,17 +143,15 @@ def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
     ok, reason = qualifying_verdict(p)
     if not ok:
         return Rejection(p, reason)
-    zeta = primitive_nth_root(3, p)
-    roots = roots_in_base(WITNESS_CUBIC, p)
-    if len(roots) != 3 or any(roots.values()):
+    # Cardano: x = y - 7 turns the cubic into y^3 - 144y + 672, whose roots
+    # are u + v with u^3 + v^3 = -672 and uv = 48, that is u = -2c^2 and
+    # v = -4c over the cube roots c of 6, which the last condition provides
+    roots = {(-7 - 4 * c - 2 * c * c) % p for c in roots_in_base(3, 6, p)}
+    if len(roots) != 3 or any(poly_eval(WITNESS_CUBIC, r, p) for r in roots):
         raise AssertionError(
             f"witness cubic failed to split into distinct roots at qualifying p = {p}"
         )
-    return QualifyingCertificate(
-        p=p,
-        zeta=zeta,
-        cubic_roots=tuple(sorted(roots)),
-    )
+    return QualifyingCertificate(p, primitive_nth_root(3, p), tuple(sorted(roots)))
 
 
 # -- the sieve ---------------------------------------------------------------

@@ -123,17 +123,11 @@ def poly_gcd(a, b, p: int) -> list[int]:
     return poly_monic(a, p)
 
 
-def poly_deriv(h, p: int) -> list[int]:
-    return poly_trim([c * i % p for i, c in enumerate(h)][1:])
-
-
 def mulmod(a, b, mod, p: int) -> tuple[int, ...]:
     """a*b mod the monic mod of degree k >= 1 over F_p, irreducible or not.
     a and b hold k coefficients each, as ints that may be unreduced or
     negative; the product is k reduced coefficients."""
     k = len(mod) - 1
-    if k == 1:  # root finding over F_p runs on GF(p^1)
-        return (a[0] * b[0] % p,)
     if k == 3:
         # written out: a call per product costs more than the arithmetic,
         # and root extraction in GF(p^3) is made of these products
@@ -289,33 +283,6 @@ def is_irreducible(h, p: int) -> bool:
     return all(resultant(h, poly_sub(powers[d // ell], x, p), p) for ell in prime_factors(d))
 
 
-def roots_in_base(h, p: int) -> dict[int, bool]:
-    """All roots of h in F_p, ascending, mapped to a repeated-root flag,
-    true when h' also vanishes there (h = (x - r)g gives h'(r) = g(r)).
-    g = gcd(h, x^p - x) is the product of x - a over the distinct roots a.
-    Over F_2 they are found by evaluating 0 and 1, over odd p by the
-    splitter's every-root mode on the degree-1 field ExtField(p, 1, [0, 1]):
-    polynomial in deg h and log p, and the result does not depend on its
-    seed.  Every root is checked by evaluation."""
-    # imported here because ff imports polys at load
-    from .ff import ExtField
-
-    h = _norm(h, p)
-    if len(h) < 2:
-        raise ValueError("root finding needs degree >= 1")
-    x = [0, 1]
-    g = poly_gcd(h, poly_sub(poly_pow_mod(x, p, h, p), x, p), p)
-    if p == 2:  # (p-1)/2 = 0, so nothing splits over F_2
-        roots = [c for c in (0, 1) if poly_eval(g, c, p) == 0]
-    else:
-        F = ExtField(p, 1, [0, 1])
-        roots = sorted(r for (r,) in _split_roots([(c,) for c in g], F, 0, every=True))
-    if any(poly_eval(h, r, p) for r in roots):
-        raise AssertionError("a split root fails to satisfy the polynomial")
-    deriv = poly_deriv(h, p)
-    return {r: poly_eval(deriv, r, p) == 0 for r in roots}
-
-
 # -- polynomials with extension-field coefficients (for root extraction) --
 
 
@@ -368,14 +335,15 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
     delta times each coefficient.  A square takes the n(n+1)/2 symmetric
     products.  x^n == -(w_0 + ... + w_(n-1) x^(n-1)) folds the top terms
     with no inverse; zero w_j are skipped and a base-field w_j scales.
-    Coefficients stay int lists, reduced mod p once per step.
+    Coefficients stay int lists, reduced mod p once per step, and each
+    product of two is mulmod on F's modulus.
 
     For w over F_p, k > 1 and e = d(1 + p + ... + p^(k-1)), the power is
     u * phi(u) * ... * phi^(k-1)(u), u = (x + delta)^d, where phi(sum a_i
     x^i) = sum a_i^p (x^p mod w)^i is f -> f^p on F[x]/(w) (von zur
     Gathen-Shoup, Comput. Complexity 2, 1992): e = (p^k - 1)/2 takes a
     (p - 1)/2 power, k - 1 maps and k - 1 products."""
-    p, k, n = F.p, F.k, len(w) - 1
+    p, k, n, mod = F.p, F.k, len(w) - 1, F.modulus
     fold = [(j, [-x for x in c], None if any(c[1:]) else -c[0])
             for j, c in enumerate(w[:-1]) if any(c)]
 
@@ -386,7 +354,7 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
         for d in range(len(s) - 1, n - 1, -1):
             c = [x % p for x in s[d]]
             for j, m, scalar in fold:
-                u = F.mul(c, m) if scalar is None else [scalar * x for x in c]
+                u = mulmod(c, m, mod, p) if scalar is None else [scalar * x for x in c]
                 s[d - n + j] = add(s[d - n + j], u)
         return [[x % p for x in c] for c in s[:n]]
 
@@ -395,13 +363,13 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
         for bit in bin(d)[3:]:
             s = [F.zero] * (2 * n - 1)
             for i, ri in enumerate(r):
-                s[2 * i] = add(s[2 * i], F.mul(ri, ri))
+                s[2 * i] = add(s[2 * i], mulmod(ri, ri, mod, p))
                 ri2 = [2 * x for x in ri]
                 for j in range(i + 1, n):
-                    s[i + j] = add(s[i + j], F.mul(ri2, r[j]))
+                    s[i + j] = add(s[i + j], mulmod(ri2, r[j], mod, p))
             r = fold_top(s)
             if bit == "1":
-                s = [add(u, F.mul(delta, v)) for u, v in zip([F.zero] + r, r)]
+                s = [add(u, mulmod(delta, v, mod, p)) for u, v in zip([F.zero] + r, r)]
                 r = fold_top(s + [r[-1]])
         return r
 
@@ -416,58 +384,50 @@ def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField)
         s = [F.zero] * (2 * n - 1)
         for i, a in enumerate(acc):
             for j, b in enumerate(conj):
-                s[i + j] = add(s[i + j], F.mul(a, b))
+                s[i + j] = add(s[i + j], mulmod(a, b, mod, p))
         acc = fold_top(s)
     return _ext_trim([tuple(a) for a in acc], F)
 
 
-def _split_roots(w: list[ExtElement], F: ExtField, seed: int, every: bool) -> list[ExtElement]:
-    """Roots of w, monic over F (odd p) and constant or a product of distinct
-    linear factors, by seeded equal-degree splitting (Cantor-Zassenhaus,
-    Math. Comp. 36, 1981): gcd(v, (x + delta)^((|F|-1)/2) - 1) keeps the
-    roots a of v with a + delta a nonzero square, so a delta drawn as
-    F.element_from_index(rng.randrange(|F|)) splits v about half the time.
-    Each split keeps the smaller factor; with every set, the larger one is
-    kept for later and every root is returned, else the one root reached."""
+def _split_roots(w: list[ExtElement], F: ExtField, seed: int) -> ExtElement:
+    """One root of w, monic of degree >= 1 over F (odd p) and a product of
+    distinct linear factors, by seeded equal-degree splitting
+    (Cantor-Zassenhaus, Math. Comp. 36, 1981): gcd(w, (x + delta)^((|F|-1)/2)
+    - 1) keeps the roots a of w with a + delta a nonzero square, so a delta
+    drawn as F.element_from_index(rng.randrange(|F|)) splits w about half
+    the time.  Each split keeps the smaller factor, down to a linear one."""
     rng = random.Random(seed)
     e = (F.order() - 1) // 2
-    pending, roots = [(w, 0)], []
-    while pending:
-        v, attempts = pending.pop()
-        while len(v) > 2:
-            if attempts >= _SPLIT_ATTEMPTS:
-                raise ValueError(
-                    "splitting did not terminate; input does not split into linears over the field"
-                )
-            attempts += 1
-            delta = F.element_from_index(rng.randrange(F.order()))
-            s = _linear_pow_mod(delta, e, v, F) or [F.zero]
-            s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
-            g = _ext_gcd(v, s, F)
-            if 1 < len(g) < len(v):
-                other = _ext_divmod(v, g, F)[0]
-                small, large = (g, other) if len(g) <= len(other) else (other, g)
-                if every:
-                    pending.append((large, attempts))
-                v = small
-        if len(v) == 2:
-            roots.append(F.neg(v[0]))
-    return roots
+    attempts = 0
+    while len(w) > 2:
+        if attempts >= _SPLIT_ATTEMPTS:
+            raise ValueError(
+                "splitting did not terminate; input does not split into linears over the field"
+            )
+        attempts += 1
+        delta = F.element_from_index(rng.randrange(F.order()))
+        s = _linear_pow_mod(delta, e, w, F) or [F.zero]
+        s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
+        g = _ext_gcd(w, s, F)
+        if 1 < len(g) < len(w):
+            other = _ext_divmod(w, g, F)[0]
+            w = g if len(g) <= len(other) else other
+    return F.neg(w[0])
 
 
 def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
-    """One root of h (over F_p) inside F, by the splitter's one-root mode on
-    h lifted to F and made monic.  The caller guarantees h splits into
-    distinct linear factors over F (h irreducible over F_p with degree
-    dividing F.k); exhausting the attempt bound raises ValueError and signals
-    a precondition bug.  Deterministic given (h, F, seed); the root is
+    """One root of h (over F_p) inside F, by the splitter on h lifted to F
+    and made monic.  The caller guarantees h splits into distinct linear
+    factors over F (h irreducible over F_p with degree dividing F.k);
+    exhausting the attempt bound raises ValueError and signals a
+    precondition bug.  Deterministic given (h, F, seed); the root is
     checked by evaluation."""
     if F.p == 2:
         raise ValueError("splitting requires odd characteristic")
     lifted = _ext_trim([F.from_base(c % F.p) for c in h], F)
     if len(lifted) < 2:
         raise ValueError("root extraction needs degree >= 1")
-    (root,) = _split_roots(_ext_monic(lifted, F), F, seed, every=False)
+    root = _split_roots(_ext_monic(lifted, F), F, seed)
     if eval_in_ext(h, root, F) != F.zero:
         raise AssertionError("extracted root fails to satisfy the polynomial")
     return root
@@ -485,19 +445,66 @@ def power_residue(a: int, m: int, p: int) -> bool:
     return fp_pow(a, (p - 1) // d, p) == 1
 
 
+def _smooth_subgroup(m: int, p: int) -> tuple[int, int, list[int]]:
+    # (g, s, primes of m) for m | p - 1: s is the largest divisor of p - 1
+    # whose primes all divide m, and g, the first a^((p-1)/s) for a = 1, 2,
+    # ... of order exactly s, generates the order-s subgroup of F_p^*
+    factors = prime_factors(m)
+    q = p - 1
+    for ell in factors:
+        while q % ell == 0:
+            q //= ell
+    s = (p - 1) // q
+    g = next(g for g in (pow(a, q, p) for a in range(1, p))
+             if all(pow(g, s // ell, p) != 1 for ell in factors))
+    return g, s, factors
+
+
+def roots_in_base(m: int, c: int, p: int) -> tuple[int, ...]:
+    """The m distinct roots of x^m - c in F_p, ascending, for m | p - 1 and
+    c a nonzero m-th power; ValueError otherwise.
+
+    With p - 1 = s*q as in _smooth_subgroup, gcd(m, q) = 1, so theta =
+    c^(m^-1 mod q) leaves c / theta^m in the order-s subgroup <g>.  Its
+    discrete log there, found by Pohlig-Hellman one prime digit at a time,
+    is a multiple x of m, so theta * g^(x/m) is an m-th root of c
+    (Adleman-Manders-Miller, 1977) and the others are it times the powers
+    of g^(s/m).  Only m is factored, never p - 1.  Every root is checked by
+    evaluation."""
+    c %= p
+    if m < 1 or (p - 1) % m or not c or pow(c, (p - 1) // m, p) != 1:
+        raise ValueError(f"x^{m} - {c} does not split into distinct linears mod {p}")
+    g, s, factors = _smooth_subgroup(m, p)
+    theta = pow(c, pow(m, -1, (p - 1) // s), p)
+    eps = c * pow(theta, -m, p) % p
+    x, n = 0, 1  # eps == g^x on the subgroup of order n
+    for ell in factors:
+        gamma = pow(g, s // ell, p)  # of order ell
+        logs = {pow(gamma, d, p): d for d in range(ell)}
+        while s // n % ell == 0:
+            x += logs[pow(eps * pow(g, -x, p), s // (n * ell), p)] * n
+            n *= ell
+    root, zeta = theta * pow(g, x // m, p) % p, pow(g, s // m, p)
+    roots = [root]
+    for _ in range(m - 1):
+        roots.append(roots[-1] * zeta % p)
+    if len(set(roots)) != m or any(pow(r, m, p) != c for r in roots):
+        raise AssertionError(f"x^{m} - {c} did not split into {m} distinct roots mod {p}")
+    return tuple(sorted(roots))
+
+
 def primitive_nth_root(n: int, p: int) -> int | None:
     """Smallest element of F_p* with multiplicative order exactly n, or None
-    when n does not divide p - 1: the smallest root of x^n - 1 (found by
-    roots_in_base) that is not a root of x^(n/l) - 1 for any prime l | n."""
+    when n does not divide p - 1: with g and s from _smooth_subgroup, zeta =
+    g^(s/n) has order n, and the elements of order n are zeta^j for
+    gcd(j, n) = 1."""
     if n < 1:
         raise ValueError("order must be positive")
     if (p - 1) % n != 0:
         return None
-    factors = prime_factors(n)
-    for c in roots_in_base([-1] + [0] * (n - 1) + [1], p):
-        if all(fp_pow(c, n // ell, p) != 1 for ell in factors):
-            return c
-    return None
+    g, s, _ = _smooth_subgroup(n, p)
+    zeta = pow(g, s // n, p)
+    return min(pow(zeta, j, p) for j in range(1, n + 1) if math.gcd(j, n) == 1)
 
 
 # -- exact integer resultants and discriminants ----------------------------

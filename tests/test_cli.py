@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from normgraph import cli, general, graph, k46
+from normgraph.ff import ExtField
 from normgraph.graph import make_graph, witness_to_json
 from normgraph.primes import PSI_12
 
@@ -676,6 +677,49 @@ class TestVerify:
             "result: FAIL",
         ]
 
+class TestFailedCrossCheck:
+    """A failed internal cross-check exits 1 with one stderr line and no
+    traceback; the line is not an "error:" line, which marks exit 2."""
+
+    @staticmethod
+    def assert_one_line_exit(capsys, code, message):
+        stdout, stderr = capsys.readouterr()
+        assert code == 1
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.endswith("\n")
+        assert not stderr.startswith("error:")
+        assert message in stderr
+
+    @staticmethod
+    def corrupt_norm_conj(monkeypatch):
+        # a wrong conjugate-product norm at element 4 of GF(3^3)
+        norm_conj = ExtField.norm_conj
+
+        def corrupted(field, a):
+            n = norm_conj(field, a)
+            if (field.p, field.k) == (3, 3) and a == field.element_from_index(4):
+                return (n + 1) % 3
+            return n
+
+        monkeypatch.setattr(ExtField, "norm_conj", corrupted)
+
+    def test_census(self, monkeypatch, capsys):
+        self.corrupt_norm_conj(monkeypatch)
+        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "2"])
+        self.assert_one_line_exit(capsys, code, "norm table mismatch at element 4")
+
+    def test_export(self, monkeypatch, capsys):
+        self.corrupt_norm_conj(monkeypatch)
+        code = cli.main(["export", "--p", "3", "--t", "4"])
+        self.assert_one_line_exit(capsys, code, "norm table mismatch at element 4")
+
+    def test_witness46(self, monkeypatch, capsys):
+        # the cube roots of 1 in place of those of 6 mod 7
+        monkeypatch.setattr(k46, "roots_in_base", lambda m, c, p: (1, 2, 4))
+        code = cli.main(["witness46"])
+        self.assert_one_line_exit(capsys, code, "witness cubic failed to split")
+
+
 class TestExport:
     def test_p3_t3_to_file(self, tmp_path):
         out = tmp_path / "edges.txt"
@@ -762,6 +806,14 @@ class TestWitnessGeneral:
 
     def test_bad_t_is_usage_error(self):
         assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20).returncode == 2
+
+    def test_many_roots_end_quickly(self):
+        # below 131071 = 2^17 - 1 no prime qualifies; there x^7710 - 2 has all
+        # 7710 roots, taken in closed form, and no shift r survives
+        r = run("witness-general", "--t", 4, "--m", 7710, "--limit", 131071, timeout=30)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "no parameters found" in r.stderr
 
     def test_first_result_same_across_jobs(self):
         outs = [

@@ -6,6 +6,7 @@ import pytest
 from normgraph.ff import ExtField
 from normgraph.general import shifted_poly
 from normgraph.graph import _smallest_irreducible
+from normgraph.k46 import QualifyingCertificate, is_qualifying_prime
 from normgraph.polys import (
     _linear_pow_mod,
     discriminant,
@@ -16,7 +17,6 @@ from normgraph.polys import (
     int_resultant,
     is_irreducible,
     mulmod,
-    poly_deriv,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -31,10 +31,14 @@ from normgraph.polys import (
     resultant,
     roots_in_base,
 )
-from normgraph.primes import prime_factors
+from normgraph.primes import prime_factors, primes_up_to
 
 # the cubic whose roots parametrize half the K_{4,6} witness
 WITNESS_CUBIC = [7, 3, 21, 1]
+
+
+def poly_deriv(h, p):
+    return poly_trim([c * i % p for i, c in enumerate(h)][1:])
 
 
 def scan_roots(h, p):
@@ -380,75 +384,80 @@ class TestResultant:
             assert resultant(g, f, p) == sign * resultant(f, g, p) % p
 
 
+def binomial(m, c):
+    return [-c] + [0] * (m - 1) + [1]
+
+
 class TestRoots:
     def test_witness_cubic_roots(self):
         # mod 7 the cubic reduces to x(x^2+3) and 2, 5 square to -3
-        assert roots_in_base(WITNESS_CUBIC, 7) == {0: False, 2: False, 5: False}
+        assert is_qualifying_prime(7).cubic_roots == (0, 2, 5)
 
     def test_cube_roots_of_six(self):
-        assert set(roots_in_base([-6, 0, 0, 1], 7)) == {3, 5, 6}
+        assert roots_in_base(3, 6, 7) == (3, 5, 6)
 
     def test_rootless(self):
-        assert roots_in_base([1, 0, 1], 7) == {}
-
-    def test_repeated_root_flag(self):
-        h = poly_mul([-2, 1], [-2, 1], 7)  # (x-2)^2
-        assert roots_in_base(h, 7) == {2: True}
-        g = poly_mul(h, [-3, 1], 7)  # (x-2)^2 (x-3)
-        assert roots_in_base(g, 7) == {2: True, 3: False}
+        # -1 is not a square mod 7, 2 is not a cube mod 13, 2 does not divide
+        # 1 = 2 - 1, c = 0 is refused and m must be positive
+        for m, c, p in ((2, -1, 7), (3, 2, 13), (2, 1, 2), (3, 0, 7), (0, 1, 7)):
+            with pytest.raises(ValueError):
+                roots_in_base(m, c, p)
 
     def test_scan_guard(self):
-        # no scan, so no guard: primes far above 2^22 are split, not refused
+        # no scan, so no guard: primes far above 2^22 are solved, not refused
         for p in (10**9 + 7, 10000000000267):
-            for h in ([1, 0, 1], WITNESS_CUBIC, [-6, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1]):
-                found = roots_in_base(h, p)
-                assert all(poly_eval(h, x, p) == 0 for x in found)
+            for m, c in ((2, 4), (3, 6), (6, 1), (1, 5)):
+                if (p - 1) % m == 0 and power_residue(c, m, p):
+                    found = roots_in_base(m, c, p)
+                    assert len(found) == m and all(pow(x, m, p) == c for x in found)
         # 10000000000267 qualifies, so the witness cubic has three roots
-        assert len(roots_in_base(WITNESS_CUBIC, 10000000000267)) == 3
+        cert = is_qualifying_prime(10000000000267)
+        assert all(poly_eval(WITNESS_CUBIC, x, cert.p) == 0 for x in cert.cubic_roots)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
     def test_matches_exhaustive_scan(self, p):
-        # seeded inputs built from linear factors, some repeated, times a
-        # random cofactor; the dict must match the scan key for key, flags
-        # and ascending order included
+        # every m | p - 1 below 60 and every c (a sample at 1009): the roots
+        # must be the scan's, ascending and simple, else ValueError
         rng = random.Random(p)
-        for _ in range(150):
-            h = [rng.randrange(1, p)]
-            for _ in range(rng.randrange(6)):
-                h = poly_mul(h, [rng.randrange(p), 1], p)
-            h = poly_mul(h, [rng.randrange(p) for _ in range(rng.randrange(4))] + [1], p)
-            if len(h) < 2:
-                continue
-            found = roots_in_base(h, p)
-            assert found == scan_roots(h, p)
-            assert list(found) == sorted(found)
-        # products of many distinct linear factors (all of F_p when p < 24),
-        # so that every-root splitting sets many factors aside
-        for _ in range(3):
-            h = [rng.randrange(1, p)]
-            for a in rng.sample(range(p), min(p, 24)):
-                h = poly_mul(h, [-a, 1], p)
-            found = roots_in_base(h, p)
-            assert found == scan_roots(h, p)
-            assert list(found) == sorted(found)
+        cs = range(1, p) if p < 100 else rng.sample(range(1, p), 20)
+        for m in (m for m in range(1, 60) if (p - 1) % m == 0):
+            for c in cs:
+                scan = scan_roots(binomial(m, c), p)
+                assert not any(scan.values())
+                if len(scan) < m:
+                    with pytest.raises(ValueError):
+                        roots_in_base(m, c, p)
+                else:
+                    assert roots_in_base(m, c, p) == tuple(scan)
 
-    def test_p2_terminates(self):
-        # (p-1)/2 = 0 over F_2, so splitting never splits; 0 and 1 are
-        # evaluated instead
-        assert roots_in_base([0, 1, 1], 2) == {0: False, 1: False}  # x(x+1)
-        assert roots_in_base([0, 0, 1], 2) == {0: True}  # x^2
-        assert roots_in_base([1, 1, 1], 2) == {}
-        assert roots_in_base([0, 1, 0, 1], 2) == {0: False, 1: True}  # x(x+1)^2
+    def test_binomials_below_3000(self):
+        # odd p < 3000, every m | p - 1 below 60, c in {2, 3, random, a
+        # random m-th power}; the scan reads x^m off one table per (p, m)
+        rng = random.Random(3000)
+        for p in primes_up_to(3000)[1:]:
+            for m in (m for m in range(1, 60) if (p - 1) % m == 0):
+                powers = [pow(x, m, p) for x in range(p)]
+                for c in (2, 3, rng.randrange(1, p), pow(rng.randrange(1, p), m, p)):
+                    scan = tuple(x for x in range(p) if powers[x] == c % p)
+                    if len(scan) < m or c % p == 0:  # 0 is refused as in test_rootless
+                        with pytest.raises(ValueError):
+                            roots_in_base(m, c, p)
+                    else:
+                        assert roots_in_base(m, c, p) == scan, (m, c, p)
 
-    def test_roots_actually_vanish(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            p = rng.choice([7, 13, 17])
-            h = [rng.randrange(p) for _ in range(4)] + [1]
-            found = roots_in_base(h, p)
-            assert len(found) <= 4
-            for x in found:
-                assert poly_eval(h, x, p) == 0
+    def test_7710_roots_of_two_mod_131071(self):
+        # 2 has order 17 mod 2^17 - 1 = 131071, and 131070 = 17 * 7710
+        p = 131071
+        found = roots_in_base(7710, 2, p)
+        assert found == tuple(x for x in range(p) if pow(x, 7710, p) == 2)
+        assert len(found) == 7710
+
+    def test_witness_cubic_matches_scan_below_5000(self):
+        certs = [c for c in map(is_qualifying_prime, primes_up_to(5000))
+                 if isinstance(c, QualifyingCertificate)]
+        assert len(certs) > 50
+        for cert in certs:
+            assert cert.cubic_roots == tuple(sorted(scan_roots(WITNESS_CUBIC, cert.p)))
 
 
 def naive_ext_pow_mod(base, e, w, F):
