@@ -32,6 +32,11 @@ from .polys import (
 )
 from .primes import primes_up_to
 
+# the field degree t - 1 sizes every irreducibility test and norm: at m = 1
+# and primes to 1000, every t <= 24 took under 2.5 s, t = 29 took 14 s and
+# t = 64 48 s (2-vCPU Xeon, Python 3.11)
+MAX_T = 24
+
 
 @dataclass(frozen=True)
 class GeneralParams:
@@ -97,8 +102,8 @@ def find_parameters(
 ) -> list[GeneralParams]:
     """All (p, r) with p <= prime_limit admitting the construction,
     ascending by (p, r); empty is a legitimate outcome."""
-    if t < 4:
-        raise ValueError(f"t must be >= 4, got {t}")
+    if not 4 <= t <= MAX_T:
+        raise ValueError(f"t must be between 4 and {MAX_T}, got {t}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     tasks = [(t, m, p) for p in primes_up_to(prime_limit)]

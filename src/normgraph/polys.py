@@ -294,110 +294,119 @@ def _ext_trim(h: list[ExtElement], F: ExtField) -> list[ExtElement]:
 
 
 def _ext_divmod(a, b, F: ExtField):
-    a, b = _ext_trim(a, F), _ext_trim(b, F)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], a
+    """Quotient and remainder of trimmed a by trimmed nonzero b over F."""
+    p, mod = F.p, F.modulus
     inv_lead = F.one if b[-1] == F.one else F.inv(b[-1])
-    rem = a[:]
-    q = [F.zero] * (len(a) - len(b) + 1)
+    rem, q = a[:], [F.zero] * (len(a) - len(b) + 1)
     for d in range(len(a) - len(b), -1, -1):
-        c = F.mul(rem[d + len(b) - 1], inv_lead)
+        c = mulmod(rem[d + len(b) - 1], inv_lead, mod, p)
         if c != F.zero:
             q[d] = c
             for j, bj in enumerate(b):
-                rem[d + j] = F.sub(rem[d + j], F.mul(c, bj))
-    return _ext_trim(q, F), _ext_trim(rem, F)
+                rem[d + j] = F.sub(rem[d + j], mulmod(c, bj, mod, p))
+    return q, _ext_trim(rem, F)
 
 
 def _ext_monic(h, F: ExtField) -> list[ExtElement]:
-    h = _ext_trim(h, F)
-    if not h:
-        return []
-    if h[-1] == F.one:
+    if not h or h[-1] == F.one:
         return h
     inv_lead = F.inv(h[-1])
-    return [F.mul(c, inv_lead) for c in h]
+    return [mulmod(c, inv_lead, F.modulus, F.p) for c in h]
 
 
 def _ext_gcd(a, b, F: ExtField) -> list[ExtElement]:
-    a, b = _ext_trim(a, F), _ext_trim(b, F)
+    """Monic gcd of trimmed a and b over F."""
     while b:
         a, b = b, _ext_divmod(a, b, F)[1]
     return _ext_monic(a, F)
 
 
-def _linear_pow_mod(delta: ExtElement, e: int, w: list[ExtElement], F: ExtField):
-    """(x + delta)^e mod w over F, for monic w of degree n >= 2 and e >= 1.
+def _norm_selector(h, F: ExtField):
+    """For h monic over F_p of degree n >= 2 that splits into distinct
+    linears over F (odd p), the map delta -> s in F[y], deg s < n, with
+    s(b) == 0 exactly at the roots b of h where (b + delta)^((|F|-1)/2) == 1.
 
-    Left to right, so every multiply is by the two-term base: a shift plus
-    delta times each coefficient.  A square takes the n(n+1)/2 symmetric
-    products.  x^n == -(w_0 + ... + w_(n-1) x^(n-1)) folds the top terms
-    with no inverse; zero w_j are skipped and a base-field w_j scales.
-    Coefficients stay int lists, reduced mod p once per step, and each
-    product of two is mulmod on F's modulus.
-
-    For w over F_p, k > 1 and e = d(1 + p + ... + p^(k-1)), the power is
-    u * phi(u) * ... * phi^(k-1)(u), u = (x + delta)^d, where phi(sum a_i
-    x^i) = sum a_i^p (x^p mod w)^i is f -> f^p on F[x]/(w) (von zur
-    Gathen-Shoup, Comput. Complexity 2, 1992): e = (p^k - 1)/2 takes a
-    (p - 1)/2 power, k - 1 maps and k - 1 products."""
-    p, k, n, mod = F.p, F.k, len(w) - 1, F.modulus
-    fold = [(j, [-x for x in c], None if any(c[1:]) else -c[0])
-            for j, c in enumerate(w[:-1]) if any(c)]
-
-    def add(u, v):
-        return [x + y for x, y in zip(u, v)]
-
-    def fold_top(s):
-        for d in range(len(s) - 1, n - 1, -1):
-            c = [x % p for x in s[d]]
-            for j, m, scalar in fold:
-                u = mulmod(c, m, mod, p) if scalar is None else [scalar * x for x in c]
-                s[d - n + j] = add(s[d - n + j], u)
-        return [[x % p for x in c] for c in s[:n]]
-
-    def power(d):
-        r = [delta, F.one] + [F.zero] * (n - 2)
-        for bit in bin(d)[3:]:
-            s = [F.zero] * (2 * n - 1)
-            for i, ri in enumerate(r):
-                s[2 * i] = add(s[2 * i], mulmod(ri, ri, mod, p))
-                ri2 = [2 * x for x in ri]
-                for j in range(i + 1, n):
-                    s[i + j] = add(s[i + j], mulmod(ri2, r[j], mod, p))
-            r = fold_top(s)
-            if bit == "1":
-                s = [add(u, mulmod(delta, v, mod, p)) for u, v in zip([F.zero] + r, r)]
-                r = fold_top(s + [r[-1]])
-        return r
-
-    norm_e = (F.order() - 1) // (p - 1)
-    if k == 1 or e % norm_e or any(any(a[1:]) for a in w):
-        return _ext_trim([tuple(a) for a in power(e)], F)
-    rows = frobenius_matrix([a[0] for a in w], p)
-    acc = conj = power(e // norm_e)
+    That power is N(b + delta)^((p-1)/2), and the norm is the value at b of
+    Q = prod_{i<k} (Y_i + delta^(p^i)) mod h, where Y_i = y^(p^i) mod h
+    comes from h's Frobenius matrix over F_p and Y_i(b) = b^(p^i).  As Q
+    takes values in F_p at the roots, its minimal polynomial mu, the first
+    F_p-linear dependency among Q^0, ..., Q^n, lies in F_p[X], and s =
+    nu(Q) for nu = gcd(mu, X^((p-1)/2) - 1) over F_p.  Without a dependency
+    h does not split, and ValueError is raised."""
+    p, k, n, mod = F.p, F.k, len(h) - 1, F.modulus
+    fold = [(j, c) for j, c in enumerate(h[:-1]) if c]
+    frob = frobenius_matrix(h, p)
+    times_y = []  # rows of the F_p matrices of u -> u * Y_i mod h, 0 < i < k
+    col = [0, 1] + [0] * (n - 2)
     for _ in range(k - 1):
-        conj_t = list(zip(*map(F.frobenius, conj)))  # conj_t[t][i]: coefficient t of a_i^p
-        conj = [[sum(map(operator.mul, row, col)) % p for col in conj_t] for row in rows]
-        s = [F.zero] * (2 * n - 1)
-        for i, a in enumerate(acc):
-            for j, b in enumerate(conj):
-                s[i + j] = add(s[i + j], mulmod(a, b, mod, p))
-        acc = fold_top(s)
-    return _ext_trim([tuple(a) for a in acc], F)
+        col = [sum(map(operator.mul, row, col)) % p for row in frob]
+        cols = [col]
+        for _ in range(n - 1):
+            top = cols[-1][-1]
+            cols.append([(x - top * c) % p for x, c in zip([0] + cols[-1][:-1], h)])
+        times_y.append(list(zip(*cols)))
+
+    def times(a, b):
+        s = [[0] * k for _ in range(2 * n - 1)]
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                s[i + j] = [x + y for x, y in zip(s[i + j], mulmod(ai, bj, mod, p))]
+        for d in range(2 * n - 2, n - 1, -1):
+            for j, c in fold:
+                s[d - n + j] = [x - c * y for x, y in zip(s[d - n + j], s[d])]
+        return [tuple(x % p for x in c) for c in s[:n]]
+
+    def select(delta):
+        q, conj = [delta, F.one] + [F.zero] * (n - 2), delta
+        for rows in times_y:  # q * (Y_i + delta^(p^i))
+            conj, coords = F.frobenius(conj), list(zip(*q))
+            q = [tuple((sum(map(operator.mul, row, c)) + x) % p
+                       for c, x in zip(coords, mulmod(conj, a, mod, p)))
+                 for row, a in zip(rows, q)]
+        powers, basis = [[F.one] + [F.zero] * (n - 1)], []
+        for d in range(n + 1):
+            if d:
+                powers.append(times(powers[-1], q))
+            v, mu = [x for c in powers[d] for x in c], [0] * d + [1] + [0] * (n - d)
+            for pivot, row, combo in basis:
+                f = v[pivot]
+                if f:
+                    v = [(x - f * y) % p for x, y in zip(v, row)]
+                    mu = [(x - f * y) % p for x, y in zip(mu, combo)]
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is None:
+                break
+            inv = pow(v[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in v], [x * inv % p for x in mu]))
+        else:
+            raise ValueError("input does not split into linears over the field")
+        mu = mu[:d + 1]
+        nu = poly_gcd(mu, poly_sub(poly_pow_mod([0, 1], (p - 1) // 2, mu, p), [1], p), p)
+        return _ext_trim([tuple(sum(c * u[t] for c, u in zip(nu, coeffs)) % p for t in range(k))
+                          for coeffs in zip(*powers)], F)
+
+    return select
 
 
-def _split_roots(w: list[ExtElement], F: ExtField, seed: int) -> ExtElement:
-    """One root of w, monic of degree >= 1 over F (odd p) and a product of
-    distinct linear factors, by seeded equal-degree splitting
-    (Cantor-Zassenhaus, Math. Comp. 36, 1981): gcd(w, (x + delta)^((|F|-1)/2)
-    - 1) keeps the roots a of w with a + delta a nonzero square, so a delta
-    drawn as F.element_from_index(rng.randrange(|F|)) splits w about half
-    the time.  Each split keeps the smaller factor, down to a linear one."""
+def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
+    """One root of h (over F_p) inside F, by seeded equal-degree splitting
+    (Cantor-Zassenhaus, Math. Comp. 36, 1981) of h made monic: the roots b
+    with b + delta a nonzero square are the zeros of s = select(delta) from
+    _norm_selector, so gcd(w, s) splits the current factor w about half the
+    time for delta drawn as F.element_from_index(rng.randrange(|F|)).  Each
+    split keeps the smaller factor, down to a linear one.  The caller
+    guarantees h splits into distinct linear factors over F (h irreducible
+    over F_p with degree dividing F.k); input that does not raises
+    ValueError and signals a precondition bug.  Deterministic given (h, F,
+    seed); the root is checked by evaluation."""
+    if F.p == 2:
+        raise ValueError("splitting requires odd characteristic")
+    monic = poly_monic(h, F.p)
+    if len(monic) < 2:
+        raise ValueError("root extraction needs degree >= 1")
     rng = random.Random(seed)
-    e = (F.order() - 1) // 2
+    w = [F.from_base(c) for c in monic]
+    select = _norm_selector(monic, F) if len(w) > 2 else None
     attempts = 0
     while len(w) > 2:
         if attempts >= _SPLIT_ATTEMPTS:
@@ -405,29 +414,14 @@ def _split_roots(w: list[ExtElement], F: ExtField, seed: int) -> ExtElement:
                 "splitting did not terminate; input does not split into linears over the field"
             )
         attempts += 1
-        delta = F.element_from_index(rng.randrange(F.order()))
-        s = _linear_pow_mod(delta, e, w, F) or [F.zero]
-        s = _ext_trim([F.sub(s[0], F.one)] + s[1:], F)
+        s = select(F.element_from_index(rng.randrange(F.order())))
+        if len(s) < 2:  # 0 or a unit: b + delta is a square at every root or at none
+            continue
         g = _ext_gcd(w, s, F)
         if 1 < len(g) < len(w):
             other = _ext_divmod(w, g, F)[0]
             w = g if len(g) <= len(other) else other
-    return F.neg(w[0])
-
-
-def find_root_in_ext(h, F: ExtField, seed: int) -> ExtElement:
-    """One root of h (over F_p) inside F, by the splitter on h lifted to F
-    and made monic.  The caller guarantees h splits into distinct linear
-    factors over F (h irreducible over F_p with degree dividing F.k);
-    exhausting the attempt bound raises ValueError and signals a
-    precondition bug.  Deterministic given (h, F, seed); the root is
-    checked by evaluation."""
-    if F.p == 2:
-        raise ValueError("splitting requires odd characteristic")
-    lifted = _ext_trim([F.from_base(c % F.p) for c in h], F)
-    if len(lifted) < 2:
-        raise ValueError("root extraction needs degree >= 1")
-    root = _split_roots(_ext_monic(lifted, F), F, seed)
+    root = F.neg(w[0])
     if eval_in_ext(h, root, F) != F.zero:
         raise AssertionError("extracted root fails to satisfy the polynomial")
     return root

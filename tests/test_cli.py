@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -806,6 +807,25 @@ class TestWitnessGeneral:
 
     def test_bad_t_is_usage_error(self):
         assert run("witness-general", "--t", 3, "--m", 2, "--limit", 20).returncode == 2
+
+    @pytest.mark.parametrize("t", [general.MAX_T + 1, 10**6])
+    def test_t_above_cap_is_usage_error(self, t):
+        r = run("witness-general", "--t", t, "--m", 1, "--limit", 1000, timeout=30)
+        assert_usage_error(r, f"t must be between 4 and {general.MAX_T}, got {t}")
+
+    # stdout sha256 of --all at the default seed and --format json: t = 5
+    # and 6 split quartics and quintics, t = 4, m = 3 takes two roots per
+    # witness, and the benchmark's --all run prints text, which holds no roots
+    @pytest.mark.parametrize("t, m, limit, digest", [
+        (6, 2, 300, "74c3cdf67c621d44ec9aecb48ede89f07afac83e20ee243af7848dde318da9aa"),
+        (5, 2, 200, "457b83439d30e4897bd392794b26d6897042f6131751599838d0e899538f2993"),
+        (4, 3, 400, "ad1c86dfc496790270005414dd04cd4d49708019970c342313d2dbb21548c024"),
+    ], ids=["t6-m2", "t5-m2", "t4-m3"])
+    def test_pinned_all_digests(self, t, m, limit, digest):
+        r = run("witness-general", "--t", t, "--m", m, "--limit", limit, "--all",
+                "--format", "json")
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
     def test_many_roots_end_quickly(self):
         # below 131071 = 2^17 - 1 no prime qualifies; there x^7710 - 2 has all

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,7 +10,9 @@ from normgraph.general import shifted_poly
 from normgraph.graph import _smallest_irreducible
 from normgraph.k46 import QualifyingCertificate, is_qualifying_prime
 from normgraph.polys import (
-    _linear_pow_mod,
+    _ext_divmod,
+    _ext_gcd,
+    _norm_selector,
     discriminant,
     eval_in_ext,
     find_root_in_ext,
@@ -576,44 +580,140 @@ class TestRootExtraction:
             assert len(want) == len(h) - 1
             assert {find_root_in_ext(h, F, s) for s in range(31)} == want
 
-    @pytest.mark.parametrize("p, modulus", [
-        (10007, [5, 1]), (7, [3, 1, 1]), (13, [5, 1, 0, 1]), (5, [4, 0, 0, 1, 1]),
-    ], ids=["k=1", "k=2", "k=3", "k=4"])
-    def test_linear_power_matches_naive_reference(self, p, modulus):
+    @staticmethod
+    def splitting_polys(p, k):
+        """For each n in 2..5, the first product (in combinations order) of
+        distinct monic irreducibles over F_p of degrees dividing k with total
+        degree n: each splits into n distinct linears over GF(p^k)."""
+        pieces = []
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            monics = ([enc // p**i % p for i in range(d)] + [1] for enc in range(p**d))
+            pieces += itertools.islice(filter(lambda h: is_irreducible(h, p), monics), 6)
+        by_degree = {}
+        for r in range(1, 6):
+            for combo in itertools.combinations(pieces, r):
+                h = reduce(lambda a, b: poly_mul(a, b, p), combo)
+                by_degree.setdefault(len(h) - 1, h)
+        return [by_degree[n] for n in range(2, 6) if n in by_degree]
+
+    @staticmethod
+    def reference_root(h, F, seed):
+        """Reference splitter: the same seeded deltas, but s = (y + delta)^((|F|-1)/2)
+        - 1 is powered modulo the current factor by naive_ext_pow_mod and
+        split by _ext_gcd, keeping the smaller factor."""
+        rng = random.Random(seed)
+        w = [F.from_base(c) for c in poly_monic(h, F.p)]
+        for _ in range(64):
+            if len(w) == 2:
+                return F.neg(w[0])
+            delta = F.element_from_index(rng.randrange(F.order()))
+            s = naive_ext_pow_mod([delta, F.one], (F.order() - 1) // 2, w, F) or [F.zero]
+            s = [F.sub(s[0], F.one)] + s[1:]
+            while s and s[-1] == F.zero:
+                s.pop()
+            g = _ext_gcd(w, s, F)
+            if 1 < len(g) < len(w):
+                other = _ext_divmod(w, g, F)[0]
+                w = g if len(g) <= len(other) else other
+        raise AssertionError("reference splitter did not terminate")
+
+    @pytest.mark.parametrize("p, modulus, hs", SPLITTING + [
+        (p, _smallest_irreducible(p, k), None) for p, k in [(31, 1), (7, 2), (3, 5)]
+    ], ids=["5^3", "7^3", "3^4", "31^1", "7^2", "3^5"])
+    def test_matches_reference_splitter(self, p, modulus, hs):
         F = ExtField(p, len(modulus) - 1, modulus)
+        hs = hs or self.splitting_polys(p, F.k)
+        for h in hs + [[2 * c for c in hs[-1]]]:  # the last one again, not monic
+            for seed in range(31):
+                assert find_root_in_ext(h, F, seed) == self.reference_root(h, F, seed), (h, seed)
+
+
+class TestNormSelector:
+    """s = _norm_selector(h, F)(delta) must vanish exactly at the roots b of
+    h with b + delta a nonzero square in F."""
+
+    @staticmethod
+    def check(h, F, delta, roots):
+        """Compare s's zeros among h's roots with the character by F.pow;
+        return s."""
+        s = _norm_selector(poly_monic(h, F.p), F)(delta)
+        e = (F.order() - 1) // 2
+        for b in roots:
+            value = F.zero
+            for c in reversed(s):
+                value = F.add(F.mul(value, b), c)
+            assert (value == F.zero) == (F.pow(F.add(b, delta), e) == F.one), (h, delta, b)
+        return s
+
+    @staticmethod
+    def field_and_roots(p, modulus, h):
+        F = ExtField(p, len(modulus) - 1, modulus)
+        roots = [b for b in F.elements() if eval_in_ext(h, b, F) == F.zero]
+        assert len(roots) == len(h) - 1
+        return F, roots
+
+    # (p, modulus, h): h splits into distinct linears over GF(p^k), n >= 3
+    CASES = [
+        (5, [1, 1, 0, 1], [1, 1, 0, 1]),
+        (7, [2, 0, 0, 1], poly_mul([4, 0, 0, 1], [5, 1], 7)),
+        (3, [2, 1, 0, 0, 1], [2, 2, 0, 0, 1]),
+        (3, [2, 1, 0, 0, 1], poly_mul([2, 0, 1, 0, 1], [1, 1], 3)),
+        (17, [14, 16, 0, 1], [2, 16, 0, 1]),
+    ]
+
+    @pytest.mark.parametrize("p, modulus, h", CASES, ids=["5^3", "7^3", "3^4", "3^4 n=5", "17^3"])
+    def test_every_delta(self, p, modulus, h):
+        F, roots = self.field_and_roots(p, modulus, h)
         rng = random.Random(p)
+        deltas = F.elements() if F.order() < 1000 else (
+            F.element_from_index(rng.randrange(F.order())) for _ in range(300))
+        for delta in deltas:
+            self.check(h, F, delta, roots)
 
-        def element():
-            return F.element_from_index(rng.randrange(F.order()))
+    @pytest.mark.parametrize("p, modulus, h", CASES, ids=["5^3", "7^3", "3^4", "3^4 n=5", "17^3"])
+    def test_zero_character(self, p, modulus, h):
+        # delta = -b: N(b + delta) = 0, a character of 0, so s(b) != 0
+        F, roots = self.field_and_roots(p, modulus, h)
+        for b in roots:
+            assert self.check(h, F, F.neg(b), roots)  # s != 0, as b is not a zero
 
-        for n in (2, 3, 4):
-            ws = [[element() for _ in range(n)] + [F.one],  # coefficients off the base field
-                  [F.from_base(rng.randrange(p)) for _ in range(n)] + [F.one],
-                  [F.zero] * (n - 1) + [element(), F.one],
-                  [element()] + [F.zero] * (n - 1) + [F.one]]
-            for w in ws:
-                for e in (1, 2, 3, rng.randrange(1, F.order()), (F.order() - 1) // 2):
-                    delta = element()
-                    assert _linear_pow_mod(delta, e, w, F) == naive_ext_pow_mod(
-                        [delta, F.one], e, w, F)
+    @pytest.mark.parametrize("p, modulus, h", CASES, ids=["5^3", "7^3", "3^4", "3^4 n=5", "17^3"])
+    def test_base_field_delta_does_not_split(self, p, modulus, h):
+        # for delta in F_p the roots of each irreducible factor of h share one
+        # norm; an irreducible h gives s = 0 or a unit
+        F, roots = self.field_and_roots(p, modulus, h)
+        for c in range(p):
+            s = self.check(h, F, F.from_base(c), roots)
+            if is_irreducible(h, p):
+                assert len(s) < 2
 
-    @pytest.mark.parametrize("p, k", [(7, 2), (13, 3), (5, 4), (3, 5), (11, 5)])
-    def test_frobenius_split_power_matches_naive_reference(self, p, k):
-        # e = (|F|-1)/2 over a base-field w takes the Frobenius split; the same
-        # w with one coefficient moved off F_p must take the plain power
-        F = ExtField(p, k, _smallest_irreducible(p, k))
-        rng = random.Random(p * k)
-        off = F.gen  # not in F_p, since k > 1
-        for n in (2, 3, 4):
-            for _ in range(3):
-                w = [F.from_base(rng.randrange(p)) for _ in range(n)] + [F.one]
-                j = rng.randrange(n)
-                moved = w[:j] + [F.add(w[j], off)] + w[j + 1:]
-                delta = F.element_from_index(rng.randrange(F.order()))
-                for e in ((F.order() - 1) // 2, (F.order() - 1) // (p - 1)):
-                    for v in (w, moved):
-                        assert _linear_pow_mod(delta, e, v, F) == naive_ext_pow_mod(
-                            [delta, F.one], e, v, F), (n, e, v)
+    def test_repeated_norm_values(self):
+        # a cubic over F_5 at deltas where its three roots take two nonzero
+        # norms: deg mu = 2 < n, and s still splits a residue from a non-residue
+        p, modulus, h = self.CASES[0]
+        F, roots = self.field_and_roots(p, modulus, h)
+        splits = 0
+        for delta in F.elements():
+            norms = {F.norm_conj(F.add(b, delta)) for b in roots}
+            if len(norms) == 2 and 0 not in norms:
+                s = self.check(h, F, delta, roots)
+                if len({power_residue(v, 2, p) for v in norms}) == 2:
+                    assert len(s) > 1
+                    splits += 1
+        assert splits
+
+    def test_no_dependency_raises(self):
+        # x^2 + 1 stays irreducible over GF(7^3): F[y]/(h) is GF(7^6), and a
+        # norm Q outside every subfield of degree <= 2 has no F_p-dependency
+        F = ExtField(7, 3, [-2, 0, 0, 1])
+        select = _norm_selector([1, 0, 1], F)
+        raised = 0
+        for n in range(50):
+            try:
+                select(F.element_from_index(n))
+            except ValueError:
+                raised += 1
+        assert raised
 
 
 class TestResidues:
