@@ -10,10 +10,11 @@ so every returned parameter set is verified rather than promised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import ExtElement, ExtField
 from .graph import (
+    MAX_T,
     Vertex,
     WitnessReport,
     check_vertices,
@@ -32,14 +33,8 @@ from .polys import (
 )
 from .primes import primes_up_to
 
-# the field degree t - 1 sizes every irreducibility test and norm: at m = 1
-# and primes to 1000, every t <= 24 took under 2.5 s, t = 29 took 14 s and
-# t = 64 48 s (2-vCPU Xeon, Python 3.11)
-MAX_T = 24
 
-
-@dataclass(frozen=True)
-class GeneralParams:
+class GeneralParams(NamedTuple):
     t: int
     m: int
     p: int
@@ -48,8 +43,7 @@ class GeneralParams:
     zeta: int  # primitive (t-2)-root of unity mod p
 
 
-@dataclass
-class GeneralWitness:
+class GeneralWitness(NamedTuple):
     params: GeneralParams
     field: ExtField
     A: list[Vertex]  # t-1 vertices (zeta^k, 1) for k = 1..t-2, plus (0, 1)
@@ -210,8 +204,8 @@ def general_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
         if not is_json_int(data[key]):
             raise ValueError(f"{key!r} must be an integer")
     t, m, p = data["t"], data["m"], data["p"]
-    if t < 4 or m < 1 or p < 2:
-        raise ValueError("t, m, p out of range")
+    if not 4 <= t <= MAX_T or m < 1 or p < 2:
+        raise ValueError(f"t, m, p out of range (4 <= t <= {MAX_T}, m >= 1, p >= 2)")
     thetas = data["thetas"]
     if not isinstance(thetas, list) or len(thetas) != m or not all(
         is_json_int(th) for th in thetas

@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
@@ -36,19 +35,24 @@ MAX_COMMON_QUERY = 8
 # (a 2 KB block)
 DRAW_WORDS = 512
 
+# the largest t a search or a witness file may name: the degree t - 1 sizes
+# every field build, irreducibility test and norm (2-vCPU Xeon, Python 3.11:
+# searches to p = 1000 took < 2.5 s for t <= 24 and 48 s at t = 64; a 2-vertex
+# witness over P(1000003, t) took 0.25 s to verify at t = 60, 4.4 s at 240)
+MAX_T = 24
+
 
 class Vertex(NamedTuple):
     alpha: ExtElement
     a: int
 
 
-@dataclass
-class BicliqueReport:
+class BicliqueReport(NamedTuple):
     left_distinct: bool
     right_distinct: bool
     disjoint: bool
     pairs_checked: int
-    failed_pairs: list = dc_field(default_factory=list)
+    failed_pairs: list
 
     @property
     def passed(self) -> bool:
@@ -60,15 +64,13 @@ class BicliqueReport:
         )
 
 
-@dataclass
-class BicliqueWitness:
+class BicliqueWitness(NamedTuple):
     left: list
     right: list
     report: BicliqueReport
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """A witness's two verification layers: the biclique's adjacencies and
     its closed-form identities."""
 
@@ -140,12 +142,7 @@ class NormGraph:
 
     def check_vertex(self, v: Vertex) -> Vertex:
         alpha, a = v
-        if (
-            not isinstance(a, int)
-            or not 1 <= a < self.p
-            or len(alpha) != self.field.k
-            or any(not 0 <= c < self.p for c in alpha)
-        ):
+        if type(alpha) is not tuple or not vertex_ok(alpha, a, self.p, self.field.k):
             raise ValueError(f"malformed vertex {v!r} for P({self.p},{self.t})")
         return v
 
@@ -274,16 +271,19 @@ class NormGraph:
     def verify_biclique(self, L: list[Vertex], R: list[Vertex]) -> BicliqueWitness:
         l_ids = [self.vertex_id(self.check_vertex(v)) for v in L]
         r_ids = [self.vertex_id(self.check_vertex(v)) for v in R]
+        failed = [
+            (uid, vid)
+            for u, uid in zip(L, l_ids)
+            for v, vid in zip(R, r_ids)
+            if uid == vid or not self.adjacent(u, v)
+        ]
         report = BicliqueReport(
             left_distinct=len(set(l_ids)) == len(l_ids),
             right_distinct=len(set(r_ids)) == len(r_ids),
             disjoint=not set(l_ids) & set(r_ids),
             pairs_checked=len(L) * len(R),
+            failed_pairs=failed,
         )
-        for u, uid in zip(L, l_ids):
-            for v, vid in zip(R, r_ids):
-                if uid == vid or not self.adjacent(u, v):
-                    report.failed_pairs.append((uid, vid))
         return BicliqueWitness(left=list(L), right=list(R), report=report)
 
     # -- censuses ------------------------------------------------------------
@@ -507,18 +507,23 @@ def is_json_int(x) -> bool:
     return type(x) is int
 
 
+def vertex_ok(alpha, a, p: int, k: int) -> bool:
+    """The vertex rule of P(p, k + 1), in memory and in JSON: `a` an int in
+    [1, p) and `alpha` k ints in [0, p)."""
+    return is_json_int(a) and 1 <= a < p and len(alpha) == k and all(
+        is_json_int(c) and 0 <= c < p for c in alpha
+    )
+
+
 def check_vertices(items, part: str, p: int, k: int) -> list[Vertex]:
-    """Vertices from their JSON objects {"alpha": k ints in [0, p), "a": an
-    int in [1, p)}; anything else raises ValueError naming `part`."""
+    """Vertices from JSON objects {"alpha": [...], "a": ...} that pass vertex_ok;
+    anything else raises ValueError naming `part`."""
     out = []
     for v in items:
         if (
             not isinstance(v, dict)
-            or not is_json_int(v.get("a"))
             or not isinstance(v.get("alpha"), list)
-            or len(v["alpha"]) != k
-            or not all(is_json_int(c) and 0 <= c < p for c in v["alpha"])
-            or not 1 <= v["a"] < p
+            or not vertex_ok(v["alpha"], v.get("a"), p, k)
         ):
             raise ValueError(f"malformed vertex in {part}")
         out.append(Vertex(tuple(v["alpha"]), v["a"]))
@@ -542,8 +547,8 @@ def witness_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
         if key not in data:
             raise ValueError(f"witness JSON is missing {key!r}")
     p, t = data["p"], data["t"]
-    if not is_json_int(p) or not is_json_int(t) or p < 2 or t < 3:
-        raise ValueError("p and t must be integers with p >= 2, t >= 3")
+    if not is_json_int(p) or not is_json_int(t) or p < 2 or not 3 <= t <= MAX_T:
+        raise ValueError(f"p and t must be integers with p >= 2, 3 <= t <= {MAX_T}")
     mod = data["modulus"]
     if not isinstance(mod, list) or len(mod) != t or not all(
         is_json_int(c) for c in mod

@@ -9,7 +9,6 @@ subgraph, verified both as graph adjacencies and as closed-form identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
@@ -46,15 +45,13 @@ if WITNESS_CUBIC_DISC != -248832:
 DENSITY_TARGET = 1 / 9
 
 
-@dataclass(frozen=True)
-class QualifyingCertificate:
+class QualifyingCertificate(NamedTuple):
     p: int
     zeta: int  # smallest primitive cube root of unity
     cubic_roots: tuple[int, int, int]  # roots of the witness cubic, ascending
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     p: int
     reason: str
 
@@ -70,15 +67,11 @@ class DegeneracyError(ValueError):
 
 def _shared_reject(p: int) -> str | None:
     """A prime p's rejection by the discriminants, which both formulations
-    share."""
-    both = 26244 % p == 0 and 248832 % p == 0
-    if both:
-        return f"{p} divides both discriminants 26244 and -248832"
-    if 26244 % p == 0:
-        return f"{p} divides discriminant 26244"
-    if 248832 % p == 0:
-        return f"{p} divides discriminant -248832"
-    return None
+    share.  26244 = 2^2 3^8 and 248832 = 2^10 3^5, so a prime divides one
+    exactly when it divides the other."""
+    if PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p:
+        return None
+    return f"{p} divides both discriminants {PRODUCT_DISC} and {WITNESS_CUBIC_DISC}"
 
 
 def _splits_into_distinct_linears(h, p: int) -> bool:
@@ -163,8 +156,7 @@ class SieveRow(NamedTuple):
     reason: str
 
 
-@dataclass
-class SieveResult:
+class SieveResult(NamedTuple):
     limit: int
     rows: list[SieveRow]
 
@@ -218,8 +210,7 @@ def sieve_summary(res: SieveResult) -> dict:
 # -- witness construction ------------------------------------------------------
 
 
-@dataclass
-class WitnessK46:
+class WitnessK46(NamedTuple):
     certificate: QualifyingCertificate
     field: ExtField
     A: list[Vertex]

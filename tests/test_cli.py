@@ -678,6 +678,46 @@ class TestVerify:
             "result: FAIL",
         ]
 
+    @staticmethod
+    def witnesses_at_t24(tmp_path):
+        """A 1x1 graph witness over P(3, 24) and the general 23x1 witness at
+        p = 23, as JSON objects."""
+        G = make_graph(3, 24, graph._smallest_irreducible(3, 23))
+        u, v = graph.Vertex(G.field.zero, 1), graph.Vertex(G.field.one, 1)
+        out = tmp_path / "g.json"
+        argv = ["witness-general", "--t", "24", "--m", "1", "--limit", "30"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        return witness_to_json(G, [u], [v], True), json.loads(out.read_text())
+
+    def test_t_at_cap_verifies(self, tmp_path, capsys):
+        for data in self.witnesses_at_t24(tmp_path):
+            out = tmp_path / "w.json"
+            out.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert cli.main(["verify", str(out)]) == 0
+            assert capsys.readouterr().out.endswith("result: PASS\n")
+
+    def test_t_above_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        graph_data, general_data = self.witnesses_at_t24(tmp_path)
+        graph_data.update(t=25, modulus=graph_data["modulus"] + [0])
+        general_data.update(t=25)
+
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(ExtField, "__init__", no_field)
+        messages = (
+            "p and t must be integers with p >= 2, 3 <= t <= 24",
+            "t, m, p out of range (4 <= t <= 24, m >= 1, p >= 2)",
+        )
+        for data, message in zip((graph_data, general_data), messages):
+            out = tmp_path / "w.json"
+            out.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert cli.main(["verify", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestFailedCrossCheck:
     """A failed internal cross-check exits 1 with one stderr line and no
     traceback; the line is not an "error:" line, which marks exit 2."""

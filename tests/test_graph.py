@@ -69,6 +69,17 @@ class TestConstruction:
             G.check_vertex(Vertex((0, 0), 3))  # wrong alpha length
         with pytest.raises(ValueError):
             G.check_vertex(Vertex((0, 0, 7), 3))  # coefficient out of range
+        with pytest.raises(ValueError):
+            G.check_vertex(Vertex((0, 0, 0), True))  # a bool is not an int
+        with pytest.raises(ValueError):
+            G.check_vertex(Vertex((0.5, 0, 0), 1))  # float coefficient
+        with pytest.raises(ValueError):
+            G.check_vertex(Vertex([0, 0, 0], 1))  # alpha is not a tuple
+        # the rule holds on every path in, as it does for JSON vertices
+        with pytest.raises(ValueError):
+            G.adjacent(Vertex((0.5, 0, 0), 1), Vertex((0, 0, 0), 1))
+        with pytest.raises(ValueError):
+            G.common_neighbors([Vertex((1.0, 0, 0), 1)])
 
 
 class TestAdjacency:

@@ -22,7 +22,7 @@ from normgraph.k46 import (
     verify_witness,
     witness_graph,
 )
-from normgraph.primes import primes_up_to
+from normgraph.primes import prime_factors, primes_up_to
 from test_acceptance import planted_quadruple
 
 # sieve rejection classes, keyed by a phrase of the reason text
@@ -64,6 +64,15 @@ class TestQualifying:
         rej = is_qualifying_prime(3)
         assert isinstance(rej, Rejection)
         assert "both discriminants" in rej.reason
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_discriminant_reason_names_both(self, p):
+        # 26244 = 2^2 3^8 and 248832 = 2^10 3^5: a prime divides one exactly
+        # when it divides the other, so "both" is the only reason there is
+        assert prime_factors(26244) == prime_factors(248832) == [2, 3]
+        assert qualifying_verdict(p) == (
+            False, f"{p} divides both discriminants 26244 and -248832"
+        )
 
     def test_five_rejected_on_congruence(self):
         rej = is_qualifying_prime(5)

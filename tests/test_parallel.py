@@ -81,7 +81,8 @@ def test_cli_import_loads_no_process_pool():
     src = os.path.dirname(os.path.dirname(normgraph.__file__))
     probe = (
         "import sys, normgraph.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing', 'dataclasses', "
+        "'inspect'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
