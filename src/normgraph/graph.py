@@ -38,7 +38,7 @@ DRAW_WORDS = 512
 # the largest t a search or a witness file may name: the degree t - 1 sizes
 # every field build, irreducibility test and norm (2-vCPU Xeon, Python 3.11:
 # searches to p = 1000 took < 2.5 s for t <= 24 and 48 s at t = 64; a 2-vertex
-# witness over P(1000003, t) took 0.25 s to verify at t = 60, 4.4 s at 240)
+# witness over P(1000003, t) took 0.22 s to verify at t = 60, 8.5 s at 240)
 MAX_T = 24
 
 
