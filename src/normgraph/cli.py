@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"cannot read {args.path}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         return _usage_error(f"malformed JSON: {exc}")
     if not isinstance(data, dict):
         return _usage_error("witness JSON must be an object")

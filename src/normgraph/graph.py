@@ -16,7 +16,7 @@ import struct
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
-from .parallel import chunk_ranges, run_tasks
+from .parallel import chunk_ranges, run_tasks, worker_count
 from .polys import is_irreducible
 from .primes import is_prime, prime_factors
 
@@ -307,9 +307,10 @@ class NormGraph:
                 f"over the budget of {budget}; rerun with --sample"
             )
         bitsets = self._all_bitsets()
+        # each task pickles the whole table: cut for the workers, not --jobs
         tasks = [
             (bitsets, k, start, count)
-            for start, count in chunk_ranges(total, jobs)
+            for start, count in chunk_ranges(total, worker_count(jobs, total))
         ]
         # chunk order is colex order, and max keeps the first maximum
         return max(run_tasks(_census_worker, tasks, jobs), key=lambda r: r[0])
@@ -330,8 +331,8 @@ class NormGraph:
         P(7,4) at 50,000 trials the draw takes about 0.05 s and the count
         0.02 s; only one process can read the stream in order, so a pool
         could share just the count, and starting one costs about 0.01 s.
-        Refuses more trials than the budget, and a planted subset that is
-        not a k-subset, before any work."""
+        Refuses more trials than the budget, k above MAX_COMMON_QUERY, and a
+        planted subset that is not a k-subset, before any work."""
         if trials < 1:
             raise ValueError("trials must be >= 1")
         if trials > budget:
@@ -339,6 +340,8 @@ class NormGraph:
                 f"sampled census needs {trials} trials, over the budget of {budget}"
             )
         self._require_subset_size(k)
+        if k > MAX_COMMON_QUERY:
+            raise ValueError(f"sampled census takes k in 1..{MAX_COMMON_QUERY}, got {k}")
         extras = []
         for extra in planted:
             ids = tuple(sorted(extra))

@@ -19,26 +19,32 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
+def worker_count(jobs: int, total: int) -> int:
+    """The one worker count for `total` items at `jobs`: no more than the
+    items or the CPUs.  Pools start this many and work is cut for this many."""
+    return min(jobs, total, os.cpu_count() or 1)
+
+
 def run_tasks(fn, tasks: list, jobs: int) -> list:
     """fn over tasks, in order; forks one process pool only when it pays.
-    The pool never has more workers than tasks or CPUs, and receives the
-    tasks in the pieces that chunk_ranges cuts."""
+    The pool starts worker_count(jobs, len(tasks)) processes and receives the
+    tasks in the pieces that chunk_ranges cuts for that many."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    max_workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    chunksize = chunk_ranges(len(tasks), jobs)[0][1]
+    count = worker_count(jobs, len(tasks))
+    chunksize = chunk_ranges(len(tasks), count)[0][1]
     pool_cls = sys.modules[__name__].ProcessPoolExecutor  # honours a class set on the module
-    with pool_cls(max_workers=max_workers) as pool:
+    with pool_cls(max_workers=count) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
-def chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
+def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     """Split range(total) into contiguous (start, count) pieces covering
-    everything in order: one piece at jobs <= 1, else at most jobs * 4, so
-    that uneven pieces still keep every worker busy."""
+    everything in order: one piece for one worker, else at most 4 per worker
+    (see worker_count), so that uneven pieces still keep every worker busy."""
     if total <= 0:
         return []
-    parts = 1 if jobs <= 1 else min(jobs * 4, total)
+    parts = 1 if workers <= 1 else min(workers * 4, total)
     base, extra = divmod(total, parts)
     out = []
     start = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
@@ -515,46 +514,30 @@ def int_poly_mul(a, b) -> list[int]:
     return poly_trim(out)
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # remainder of lc(b)^(deg a - deg b + 1) * a under division by b,
-    # all-integer: one factor of lc(b) is applied per eliminated degree
-    n = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    for d in range(len(a) - 1, n - 1, -1):
-        c = r[d]
-        r = [lead * x for x in r]
-        if c:
-            for j in range(n + 1):
-                r[d - n + j] -= c * b[j]
-    return poly_trim(r)
-
-
 def int_resultant(a, b) -> int:
-    """Resultant of integer polynomials via pseudo-remainder recursion."""
+    """Resultant of integer polynomials: the determinant of their Sylvester
+    matrix by Bareiss's fraction-free elimination (Math. Comp. 22, 1968),
+    in which every division is exact."""
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
         raise ValueError("resultant of the zero polynomial is not defined here")
-
-    def res(f: list[int], g: list[int]) -> Fraction:
-        m, n = len(f) - 1, len(g) - 1
-        if m < n:
-            sign = -1 if (m * n) % 2 else 1
-            return sign * res(g, f)
-        if n == 0:
-            return Fraction(g[0]) ** m
-        r = _int_pseudo_rem(f, g)
-        if not r:
-            return Fraction(0)
-        rho = len(r) - 1
-        lead = Fraction(g[-1])
-        sign = -1 if (m * n) % 2 else 1
-        return sign * lead ** (m - rho) / lead ** (n * (m - n + 1)) * res(g, r)
-
-    out = res(a, b)
-    if out.denominator != 1:
-        raise AssertionError("resultant recursion produced a non-integer")
-    return int(out)
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    sign, prev = 1, 1  # two constants: the empty determinant
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        lead, top = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [(lead * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = lead
+    return sign * prev
 
 
 def discriminant(h) -> int:
@@ -565,8 +548,7 @@ def discriminant(h) -> int:
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
     deriv = poly_trim([c * i for i, c in enumerate(h)][1:])
-    r = Fraction(int_resultant(h, deriv), h[-1])
-    if r.denominator != 1:
+    r, rem = divmod(int_resultant(h, deriv), h[-1])
+    if rem:
         raise AssertionError("discriminant division was not exact")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * int(r)
+    return (-1) ** (d * (d - 1) // 2) * r

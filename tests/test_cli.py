@@ -388,6 +388,20 @@ class TestCensus:
             f"over the budget of {graph.CENSUS_BUDGET}\n"
         )
 
+    def test_sampled_k_over_query_cap_starts_no_work(self, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        # each trial ANDs k bitsets, which the trial budget does not count
+        monkeypatch.setattr(graph.NormGraph, "_all_bitsets", work)
+        monkeypatch.setattr(graph.random, "Random", work)
+        k = graph.MAX_COMMON_QUERY + 1
+        argv = ["census", "--p", "7", "--t", "4", "--k", str(k), "--sample"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: sampled census takes k in 1..{graph.MAX_COMMON_QUERY}, got {k}\n"
+
     def test_trials_at_budget_run(self):
         argv = ["census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--budget", 40]
         r = run(*argv, "--trials", 40)
@@ -494,6 +508,20 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run("verify", tmp_path / "absent.json").returncode == 2
+
+    # json.loads raises ValueError past int_max_str_digits (4,300) and
+    # RecursionError on deep nesting; both are malformed JSON, not a crash
+    @pytest.mark.parametrize(
+        "text", ['{"p": ' + "7" * 5000 + "}", "[" * 100_000], ids=["long-int", "deep"]
+    )
+    def test_hostile_json_is_malformed(self, tmp_path, capsys, text):
+        out = tmp_path / "w.json"
+        out.write_text(text)
+        assert cli.main(["verify", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: malformed JSON: ")
+        assert len(stderr.splitlines()) == 1
 
     def test_non_object_json(self, tmp_path):
         out = tmp_path / "arr.json"

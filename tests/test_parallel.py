@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import normgraph
-from normgraph import cli, parallel
+from normgraph import cli, graph, parallel
+from normgraph.graph import _census_worker
 
 
 @pytest.fixture
@@ -45,7 +46,8 @@ def test_workers_clamped_to_tasks_and_cpus(monkeypatch, pools):
 
 
 @pytest.mark.parametrize("total, jobs", [(100, 3), (17984, 2), (5, 3), (9, 2)])
-def test_chunksize_follows_chunk_ranges(pools, total, jobs):
+def test_chunksize_follows_chunk_ranges(monkeypatch, pools, total, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # so the worker count is jobs
     tasks = list(range(total))
     assert parallel.run_tasks(abs, tasks, jobs) == tasks
     pieces = parallel.chunk_ranges(total, jobs)
@@ -62,6 +64,26 @@ def test_chunks_follow_jobs():
     assert [s for s, _ in pieces] == [sum(c for _, c in pieces[:i]) for i in range(12)]
     assert sum(c for _, c in pieces) == 100
     assert parallel.chunk_ranges(5, 3) == [(i, 1) for i in range(5)]
+
+
+def test_census_cuts_its_tasks_for_the_workers_not_the_jobs(monkeypatch, pools, capsys):
+    # each census task pickles the whole bitset table, so a huge --jobs
+    # must not cut C(n,k) tasks; chunking by --jobs cut 1,431 here
+    mapped = []
+
+    def worker(task):
+        mapped.append(task)
+        return _census_worker(task)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(graph, "_census_worker", worker)
+    argv = ["census", "--p", "3", "--t", "4", "--k", "2"]
+    assert cli.main(argv + ["--jobs", "1000000"]) == 0
+    assert pools == [[2, 1]]
+    assert 1 < len(mapped) <= 8
+    many = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == many
 
 
 def test_one_pool_per_search_and_none_for_a_sampled_census(pools, capsys):
@@ -82,7 +104,7 @@ def test_cli_import_loads_no_process_pool():
     probe = (
         "import sys, normgraph.cli; "
         "print(sorted({'concurrent.futures.process', 'multiprocessing', 'dataclasses', "
-        "'inspect'} & set(sys.modules)))"
+        "'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)

@@ -814,6 +814,31 @@ class TestDiscriminant:
         assert int_resultant([1, 0, 0, 1], [4]) == 64  # 4^3
         assert int_resultant([7], [5]) == 1
 
+    # (1,1)/(3,3) and (-1,2)/(0,3) leave a zero pivot in the Sylvester
+    # elimination that only a row swap gets past
+    @pytest.mark.parametrize("seed", range(4))
+    def test_resultant_is_the_root_product(self, seed):
+        # Res(c prod(x - a_i), d prod(x - b_j)) = c^deg g d^deg f prod(a_i - b_j)
+        rng = random.Random(seed)
+        cases = [((1, 1), (3, 3)), ((-1, 2), (0, 3)), ((2,), (2, -1)), ((), ())]
+        for _ in range(150):
+            a_roots = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))]
+            b_roots = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))]
+            if a_roots and b_roots and rng.random() < 0.2:
+                b_roots[0] = a_roots[-1]  # a shared root: the resultant is 0
+            cases.append((a_roots, b_roots))
+        zeros = 0
+        for a_roots, b_roots in cases:
+            c, d = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-2, -1, 1, 2])
+            f = reduce(int_poly_mul, ([-r, 1] for r in a_roots), [c])
+            g = reduce(int_poly_mul, ([-r, 1] for r in b_roots), [d])
+            want = c ** len(b_roots) * d ** len(a_roots)
+            for ai, bj in itertools.product(a_roots, b_roots):
+                want *= ai - bj
+            assert int_resultant(f, g) == want, (f, g)
+            zeros += want == 0
+        assert zeros > 10
+
     def test_product_rule_seeded(self):
         # disc(h1*h2) = disc(h1) * disc(h2) * Res(h1,h2)^2
         rng = random.Random(13)
