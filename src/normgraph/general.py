@@ -14,13 +14,14 @@ from typing import NamedTuple
 
 from .ff import ExtElement, ExtField
 from .graph import (
+    GENERAL_KEYS,
+    MAX_PAIRS,
     MAX_T,
     Vertex,
     WitnessReport,
-    check_vertices,
-    is_json_int,
+    encode_witness,
     make_graph,
-    vertex_to_obj,
+    parse_witness,
 )
 from .parallel import run_tasks
 from .polys import (
@@ -98,8 +99,10 @@ def find_parameters(
     ascending by (p, r); empty is a legitimate outcome."""
     if not 4 <= t <= MAX_T:
         raise ValueError(f"t must be between 4 and {MAX_T}, got {t}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    # so that every witness written passes parse_witness's pair cap
+    m_max = MAX_PAIRS // (t - 1)
+    if not 1 <= m <= m_max:
+        raise ValueError(f"m must be between 1 and {m_max} at t = {t}, got {m}")
     tasks = [(t, m, p) for p in primes_up_to(prime_limit)]
     found: list[GeneralParams] = []
     # a bounded search scans doubling blocks of primes (64, 128, ...), the
@@ -181,61 +184,26 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
 # -- serialization ------------------------------------------------------------
 
 
-# the general witness's top-level keys, in the order general_witness_to_json
-# writes them
-WITNESS_KEYS = ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified")
-
-
 def general_witness_to_json(w: GeneralWitness, verified: bool) -> dict:
-    params = w.params
-    sides = ([vertex_to_obj(v) for v in side] for side in (w.A, w.B))
-    values = (params.t, params.m, params.p, params.r, list(params.thetas),
-              params.zeta, *sides, bool(verified))
-    return dict(zip(WITNESS_KEYS, values))
-
-
-def general_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
-    """Shape-only validation; returns the A and B vertices and raises
-    ValueError on malformed input."""
-    for key in WITNESS_KEYS:
-        if key not in data:
-            raise ValueError(f"general witness JSON is missing {key!r}")
-    for key in ("t", "m", "p", "r", "zeta"):
-        if not is_json_int(data[key]):
-            raise ValueError(f"{key!r} must be an integer")
-    t, m, p = data["t"], data["m"], data["p"]
-    if not 4 <= t <= MAX_T or m < 1 or p < 2:
-        raise ValueError(f"t, m, p out of range (4 <= t <= {MAX_T}, m >= 1, p >= 2)")
-    thetas = data["thetas"]
-    if not isinstance(thetas, list) or len(thetas) != m or not all(
-        is_json_int(th) for th in thetas
-    ):
-        raise ValueError("thetas must list m integers")
-    sides = []
-    for part, want in (("A", t - 1), ("B", m)):
-        if not isinstance(data[part], list) or len(data[part]) != want:
-            raise ValueError(f"{part} must list {want} vertices")
-        sides.append(check_vertices(data[part], part, p, t - 1))
-    return sides[0], sides[1]
+    params = w.params._replace(thetas=list(w.params.thetas))
+    return encode_witness(GENERAL_KEYS, params, w.A, w.B, verified)
 
 
 def general_witness_from_json(data: dict) -> GeneralWitness:
     """Rebuild a witness from its JSON form.  Schema problems raise from
-    general_schema_check; mathematical problems (reducible modulus and the
-    like) surface from the field construction."""
-    return _witness_from_sides(data, *general_schema_check(data))
+    parse_witness; mathematical problems (reducible modulus and the like)
+    surface from the field construction."""
+    kind, A, B = parse_witness(data)
+    if kind != "general":
+        raise ValueError("not a general witness")
+    return witness_from_sides(data, A, B)
 
 
-def _witness_from_sides(data: dict, A: list[Vertex], B: list[Vertex]) -> GeneralWitness:
-    # data has passed general_schema_check, which parsed A and B
-    params = GeneralParams(
-        t=data["t"],
-        m=data["m"],
-        p=data["p"],
-        r=data["r"],
-        thetas=tuple(int(x) for x in data["thetas"]),
-        zeta=data["zeta"],
-    )
+def witness_from_sides(data: dict, A: list[Vertex], B: list[Vertex]) -> GeneralWitness:
+    """The witness of a general JSON object whose A and B sides parse_witness
+    has read."""
+    params = GeneralParams(*(data[key] for key in GeneralParams._fields))
+    params = params._replace(thetas=tuple(params.thetas))
     field = ExtField(
         params.p, params.t - 1, shifted_poly(params.t, params.thetas[0], params.r, params.p)
     )

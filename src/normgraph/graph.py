@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .ff import ExtElement, ExtField, fp_inv
 from .parallel import chunk_ranges, run_tasks, worker_count
 from .polys import is_irreducible
-from .primes import is_prime, prime_factors
+from .primes import PSI_12, is_prime, prime_factors
 
 # bitset-indexed neighborhoods (and edge export) refuse graphs above this
 ENUM_LIMIT = 2**22
@@ -533,33 +533,69 @@ def check_vertices(items, part: str, p: int, k: int) -> list[Vertex]:
     return out
 
 
-# the graph witness's top-level keys, in the order witness_to_json writes them
-WITNESS_KEYS = ("p", "t", "modulus", "L", "R", "verified")
+# each witness kind's top-level keys, in the order its encoder writes them;
+# GENERAL_KEYS begins with GeneralParams' fields, in their order
+GRAPH_KEYS = ("p", "t", "modulus", "L", "R", "verified")
+GENERAL_KEYS = ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified")
+
+# the most vertex pairs a witness file may hold: verify checks each pair
+# through two norm routes, 18 us per pair at t = 4 (p = 1000003) and 2.0 ms
+# at t = 24 (p = 3) on a 2-vCPU Xeon, so about 0.6 s and 67 s at the cap
+MAX_PAIRS = 2**15
+
+
+def encode_witness(keys: tuple, params, left, right, verified: bool) -> dict:
+    """A witness JSON object: the parameter values, the two vertex sides
+    and the verdict, under `keys` in order."""
+    sides = ([vertex_to_obj(v) for v in side] for side in (left, right))
+    return dict(zip(keys, (*params, *sides, bool(verified))))
 
 
 def witness_to_json(G: NormGraph, L, R, verified: bool) -> dict:
-    sides = ([vertex_to_obj(v) for v in side] for side in (L, R))
-    values = (G.p, G.t, list(G.field.modulus), *sides, bool(verified))
-    return dict(zip(WITNESS_KEYS, values))
+    return encode_witness(GRAPH_KEYS, (G.p, G.t, list(G.field.modulus)), L, R, verified)
 
 
-def witness_schema_check(data: dict) -> tuple[list[Vertex], list[Vertex]]:
-    """Shape-only validation of witness_to_json's output; returns the L and
-    R vertices and raises ValueError on malformed input."""
-    for key in WITNESS_KEYS:
-        if key not in data:
-            raise ValueError(f"witness JSON is missing {key!r}")
+def parse_witness(data) -> tuple[str, list[Vertex], list[Vertex]]:
+    """The kind ("graph" or "general") and the two vertex sides of a witness
+    object as witness_to_json or general_witness_to_json write it; an object
+    with both key sets is general.  Checks shape and size only, and raises
+    ValueError on a malformed object before any field is built."""
+    if not isinstance(data, dict):
+        raise ValueError("witness JSON must be an object")
+    if data.keys() >= set(GENERAL_KEYS):
+        kind, ints, coeffs, names = "general", ("t", "m", "p", "r", "zeta"), "thetas", "AB"
+    elif data.keys() >= set(GRAPH_KEYS):
+        kind, ints, coeffs, names = "graph", ("p", "t"), "modulus", "LR"
+    else:
+        raise ValueError("unrecognized witness schema (expected L/R or A/B keys)")
+    for key in ints:
+        if not is_json_int(data[key]):
+            raise ValueError(f"{key!r} must be an integer")
     p, t = data["p"], data["t"]
-    if not is_json_int(p) or not is_json_int(t) or p < 2 or not 3 <= t <= MAX_T:
-        raise ValueError(f"p and t must be integers with p >= 2, 3 <= t <= {MAX_T}")
-    mod = data["modulus"]
-    if not isinstance(mod, list) or len(mod) != t or not all(
-        is_json_int(c) for c in mod
+    if kind == "general":  # m coefficients and a (t-1) x m biclique
+        m = data["m"]
+        in_range, count, sizes = t >= 4 and m >= 1, m, (t - 1, m)
+        message = f"t, m, p out of range (4 <= t <= {MAX_T}, m >= 1, p >= 2)"
+    else:  # t coefficients and two nonempty sides
+        in_range, count, sizes = t >= 3, t, (None, None)
+        message = f"p and t must be integers with p >= 2, 3 <= t <= {MAX_T}"
+    if not in_range or p < 2 or t > MAX_T:
+        raise ValueError(message)
+    if p >= PSI_12:
+        raise ValueError(f"p must be < {PSI_12}, got {p}")
+    values = data[coeffs]
+    if not isinstance(values, list) or len(values) != count or not all(
+        is_json_int(c) for c in values
     ):
-        raise ValueError(f"modulus must list {t} integer coefficients")
-    sides = []
-    for part in ("L", "R"):
-        if not isinstance(data[part], list) or not data[part]:
-            raise ValueError(f"{part} must be a nonempty vertex list")
-        sides.append(check_vertices(data[part], part, p, t - 1))
-    return sides[0], sides[1]
+        raise ValueError(f"{coeffs} must list {count} integers")
+    for part, size in zip(names, sizes):
+        side = data[part]
+        if not isinstance(side, list) or not side or size not in (None, len(side)):
+            raise ValueError(f"{part} must list {size or 'one or more'} vertices")
+    pairs = len(data[names[0]]) * len(data[names[1]])
+    if pairs > MAX_PAIRS:
+        raise ValueError(
+            f"{names[0]} x {names[1]} has {pairs} vertex pairs, above the cap of {MAX_PAIRS}"
+        )
+    left, right = (check_vertices(data[part], part, p, t - 1) for part in names)
+    return kind, left, right

@@ -26,12 +26,12 @@ def worker_count(jobs: int, total: int) -> int:
 
 
 def run_tasks(fn, tasks: list, jobs: int) -> list:
-    """fn over tasks, in order; forks one process pool only when it pays.
-    The pool starts worker_count(jobs, len(tasks)) processes and receives the
-    tasks in the pieces that chunk_ranges cuts for that many."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+    """fn over tasks, in order, serially unless worker_count(jobs, len(tasks))
+    is above 1.  Then a process pool starts that many workers and receives
+    the tasks in the pieces that chunk_ranges cuts for that many."""
     count = worker_count(jobs, len(tasks))
+    if count <= 1:
+        return [fn(t) for t in tasks]
     chunksize = chunk_ranges(len(tasks), count)[0][1]
     pool_cls = sys.modules[__name__].ProcessPoolExecutor  # honours a class set on the module
     with pool_cls(max_workers=count) as pool:

@@ -572,7 +572,7 @@ class TestVerify:
         run("witness-general", "--t", 4, "--m", 2, "--limit", 20, "--output", gen)
         run("witness46", "--output", w46)
         data = {**json.loads(w46.read_text()), **json.loads(gen.read_text())}
-        assert set(data) >= set(general.WITNESS_KEYS) | set(graph.WITNESS_KEYS)
+        assert set(data) >= set(graph.GENERAL_KEYS) | set(graph.GRAPH_KEYS)
         out = tmp_path / "both.json"
         out.write_text(json.dumps(data))
         r = run("verify", out)
@@ -594,6 +594,34 @@ class TestVerify:
         assert stdout == ""
         assert stderr == f"error: p must be < {PSI_12}, got {PSI_12}\n"
 
+    @pytest.mark.parametrize("edit", [lambda th: th[:-1], lambda th: th + th[:1]],
+                             ids=["short", "long"])
+    def test_thetas_of_wrong_length_are_malformed(self, tmp_path, capsys, edit):
+        # unchecked, a short list ends in an IndexError and a long one passes
+        out = tmp_path / "g.json"
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        out.write_text(json.dumps({**data, "thetas": edit(data["thetas"])}))
+        capsys.readouterr()
+        assert cli.main(["verify", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: thetas must list 2 integers\n")
+
+    def test_pairs_above_cap_refused_before_any_field(self, tmp_path, capsys, monkeypatch):
+        G = make_graph(3, 3)
+        u, v = G.vertex_from_id(0), G.vertex_from_id(1)
+        out = tmp_path / "big.json"
+        out.write_text(json.dumps(witness_to_json(G, [u] * 128, [v] * 257, True)))
+
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(ExtField, "__init__", no_field)
+        assert cli.main(["verify", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: L x R has 32896 vertex pairs, above the cap of {graph.MAX_PAIRS}\n"
+        )
+
     def test_plain_graph_biclique(self, tmp_path):
         G = make_graph(3, 3)
         u = G.vertex_from_id(0)
@@ -605,19 +633,16 @@ class TestVerify:
         assert "graph biclique" in r.stdout
 
     @pytest.mark.parametrize(
-        "argv, owner, name",
-        [
-            (["witness46"], graph, "witness_schema_check"),
-            (["witness-general", "--t", "4", "--m", "2", "--limit", "20"],
-             general, "general_schema_check"),
-        ],
+        "argv",
+        [["witness46"], ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]],
+        ids=["graph", "general"],
     )
-    def test_schema_checked_once(self, tmp_path, monkeypatch, capsys, argv, owner, name):
+    def test_schema_checked_once(self, tmp_path, monkeypatch, capsys, argv):
         out = tmp_path / "w.json"
         assert cli.main([*argv, "--output", str(out)]) == 0
         calls = []
-        check = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda data: calls.append(data) or check(data))
+        parse = graph.parse_witness
+        monkeypatch.setattr(graph, "parse_witness", lambda data: calls.append(data) or parse(data))
         assert cli.main(["verify", str(out)]) == 0
         assert "result: PASS" in capsys.readouterr().out
         assert len(calls) == 1
@@ -902,6 +927,34 @@ class TestWitnessGeneral:
         assert r.returncode == 1
         assert r.stdout == ""
         assert "no parameters found" in r.stderr
+
+    @pytest.mark.parametrize("t", [4, general.MAX_T])
+    def test_m_above_pair_cap_refused_before_sieving(self, monkeypatch, capsys, t):
+        def no_sieve(limit):
+            raise AssertionError("primes were sieved")
+
+        monkeypatch.setattr(general, "primes_up_to", no_sieve)
+        m_max = graph.MAX_PAIRS // (t - 1)
+        argv = ["witness-general", "--t", str(t), "--limit", "20"]
+        assert cli.main([*argv, "--m", str(m_max + 1)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: m must be between 1 and {m_max} at t = {t}, got {m_max + 1}\n"
+        )
+        monkeypatch.undo()  # at the cap the search runs; m_max divides no p - 1 for p <= 20
+        assert cli.main([*argv, "--m", str(m_max)]) == 1
+        assert "no parameters found" in capsys.readouterr().err
+
+    def test_failed_verification_written_as_unverified(self, tmp_path, monkeypatch, capsys):
+        verify = general.verify_general_witness
+
+        def failing(w):
+            return verify(w)._replace(identity_failures=["stub identity failure"])
+
+        monkeypatch.setattr(general, "verify_general_witness", failing)
+        out = tmp_path / "g.json"
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        assert json.loads(out.read_text())["verified"] is False
 
     def test_first_result_same_across_jobs(self):
         outs = [

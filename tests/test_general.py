@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from normgraph import general
+from normgraph import general, graph
 from normgraph.ff import ExtField
 from normgraph.general import (
     GeneralParams,
@@ -230,6 +230,12 @@ class TestSerialization:
         assert data["thetas"] == [6, 11]
         assert data["zeta"] == 16
         assert data["verified"] is True
+
+    def test_graph_witness_rejected(self):
+        G = graph.make_graph(3, 3)
+        data = graph.witness_to_json(G, [G.vertex_from_id(0)], [G.vertex_from_id(1)], True)
+        with pytest.raises(ValueError, match="not a general witness"):
+            general_witness_from_json(data)
 
     def test_roundtrip_verifies(self):
         w, data = self.make()

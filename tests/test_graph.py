@@ -260,6 +260,14 @@ class TestBiclique:
             assert w.report.failed_pairs == [(G.vertex_id(u), G.vertex_id(bad))]
             assert not w.report.passed
 
+    def test_identity_failure_fails_a_passing_biclique(self):
+        G = make_graph(3, 4)
+        u = G.vertex_from_id(0)
+        biclique = G.verify_biclique([u], neighbors(G, u)[:3])
+        assert biclique.report.passed
+        assert graph.WitnessReport(biclique, 1, []).passed
+        assert not graph.WitnessReport(biclique, 1, ["stub identity failure"]).passed
+
 
 class TestCensus:
     def test_exhaustive_p34(self):
@@ -521,3 +529,13 @@ class TestWitnessJson:
         ):
             with pytest.raises(ValueError, match="malformed vertex in R"):
                 check_vertices([good, obj], "R", 7, 3)
+
+    def test_pair_cap_admits_its_edge(self):
+        # parse_witness checks sizes, not distinctness, so repeats fill the sides
+        G = p74()
+        u, v = Vertex((0, 0, 0), 3), Vertex((6, 0, 1), 1)
+        kind, L, R = graph.parse_witness(witness_to_json(G, [u] * 128, [v] * 256, True))
+        assert kind == "graph"
+        assert len(L) * len(R) == graph.MAX_PAIRS
+        with pytest.raises(ValueError, match="L x R has 32896 vertex pairs"):
+            graph.parse_witness(witness_to_json(G, [u] * 128, [v] * 257, True))
