@@ -9,18 +9,17 @@ so every returned parameter set is verified rather than promised.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField
 from .graph import (
     GENERAL_KEYS,
-    MAX_PAIRS,
     MAX_T,
     Vertex,
     WitnessReport,
     encode_witness,
     make_graph,
+    pair_cap,
     parse_witness,
 )
 from .parallel import run_tasks
@@ -95,25 +94,23 @@ def find_parameters(
     max_results: int | None = None,
     jobs: int = 1,
 ) -> list[GeneralParams]:
-    """All (p, r) with p <= prime_limit admitting the construction,
-    ascending by (p, r); empty is a legitimate outcome."""
+    """All (p, r) with p <= prime_limit admitting the construction, ascending
+    by (p, r), or the first max_results; empty is a legitimate outcome."""
     if not 4 <= t <= MAX_T:
         raise ValueError(f"t must be between 4 and {MAX_T}, got {t}")
     # so that every witness written passes parse_witness's pair cap
-    m_max = MAX_PAIRS // (t - 1)
+    m_max = pair_cap(t) // (t - 1)
     if not 1 <= m <= m_max:
         raise ValueError(f"m must be between 1 and {m_max} at t = {t}, got {m}")
     tasks = [(t, m, p) for p in primes_up_to(prime_limit)]
+    if max_results is None:
+        return [params for found in run_tasks(_scan_prime, tasks, jobs) for params in found]
+    # one prime per map: a bounded search stops at its quota and starts no pool
     found: list[GeneralParams] = []
-    # a bounded search scans doubling blocks of primes (64, 128, ...), the
-    # same for every jobs, and stops after the block that fills the quota;
-    # an unbounded one scans all primes as one block
-    quota = math.inf if max_results is None else max_results
-    start, size = 0, len(tasks) if max_results is None else 64
-    while start < len(tasks) and len(found) < quota:
-        for result in run_tasks(_scan_prime, tasks[start : start + size], jobs):
-            found.extend(result)
-        start, size = start + size, 2 * size
+    for task in tasks:
+        if len(found) >= max_results:
+            break
+        found.extend(run_tasks(_scan_prime, [task], jobs)[0])
     return found[:max_results]
 
 
@@ -148,35 +145,32 @@ def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitnes
 def verify_general_witness(w: GeneralWitness) -> WitnessReport:
     """Graph layer: every A-B pair adjacent in P(p,t) over f_1 - r.
     Identity layer: for c in {0, zeta^k} and every i,
-    norm(c - alpha_i) = (f_i - r)(c) = theta_i - r, with alpha_i read back
-    from the stored B vertex."""
+    norm(c - alpha_i) = (f_i - r)(c) = theta_i - r = a_i, with (-alpha_i, a_i)
+    the stored B vertex; identity_checked counts the identities run."""
     params = w.params
-    t, m, p, r = params.t, params.m, params.p, params.r
+    t, p, r = params.t, params.p, params.r
     G = make_graph(p, t, shifted_poly(t, params.thetas[0], r, p))
     biclique = G.verify_biclique(w.A, w.B)
 
     cs = [0] + [pow(params.zeta, k, p) for k in range(1, t - 1)]
-    identity_failures = []
+    checked, identity_failures = 0, []
     field = G.field
     for i, vert in enumerate(w.B):
         h = shifted_poly(t, params.thetas[i], r, p)
         target = (params.thetas[i] - r) % p
-        if vert.a != target:
-            identity_failures.append(
-                f"B[{i}] second coordinate is {vert.a}, expected theta_{i + 1} - r = {target}"
-            )
         for c in cs:
+            checked += 1
             # vert.alpha stores -alpha_i, so c - alpha_i = c + vert.alpha
             lhs = field.norm(field.add(field.from_base(c), vert.alpha))
             rhs = poly_eval(h, c, p)
-            if lhs != rhs or rhs != target:
+            if lhs != rhs or rhs != target or vert.a != target:
                 identity_failures.append(
                     f"identity fails for B[{i}] at c = {c}: norm {lhs}, "
-                    f"evaluation {rhs}, expected {target}"
+                    f"evaluation {rhs}, second coordinate {vert.a}, expected {target}"
                 )
     return WitnessReport(
         biclique=biclique,
-        identity_checked=(t - 1) * m,
+        identity_checked=checked,
         identity_failures=identity_failures,
     )
 

@@ -239,19 +239,18 @@ class NormGraph:
                 f"census bitsets for {self.n} vertices need {need} bytes, "
                 f"above the memory guard {CENSUS_MEMORY}"
             )
-        if self._bitsets is not None:
-            return self._bitsets
-        out = []
+        if self._bitsets is None:
+            self._bitsets = list(self._iter_bitsets())
+        return self._bitsets
+
+    def _iter_bitsets(self):
+        """Every vertex's bitset in id order, one norm row per alpha shared
+        by its p-1 vertices."""
         for idx in range(self.qprime):
-            # one row per alpha, shared by its p-1 vertices
             reversed_row = self._norm_row(idx)[::-1]
             first = idx * (self.p - 1)
-            out.extend(
-                self._row_bitset(reversed_row, vid)
-                for vid in range(first, first + self.p - 1)
-            )
-        self._bitsets = out
-        return out
+            for vid in range(first, first + self.p - 1):
+                yield self._row_bitset(reversed_row, vid)
 
     def common_neighbors(self, S: list[Vertex]) -> list[Vertex]:
         """Vertices outside S adjacent to every member of S, ascending."""
@@ -365,8 +364,8 @@ class NormGraph:
         self._require_enumerable()
         return (
             f"{uid} {uid + 1 + off}"
-            for uid in range(self.n)
-            for off in _iter_bits(self._bitset_for(uid) >> (uid + 1))
+            for uid, bits in enumerate(self._iter_bitsets())
+            for off in _iter_bits(bits >> (uid + 1))
         )
 
 
@@ -538,10 +537,15 @@ def check_vertices(items, part: str, p: int, k: int) -> list[Vertex]:
 GRAPH_KEYS = ("p", "t", "modulus", "L", "R", "verified")
 GENERAL_KEYS = ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified")
 
-# the most vertex pairs a witness file may hold: verify checks each pair
-# through two norm routes, 18 us per pair at t = 4 (p = 1000003) and 2.0 ms
-# at t = 24 (p = 3) on a 2-vCPU Xeon, so about 0.6 s and 67 s at the cap
 MAX_PAIRS = 2**15
+
+
+def pair_cap(t: int) -> int:
+    """The most vertex pairs a witness file of P(p,t) may hold: MAX_PAIRS,
+    shrunk as (t-1)^-2 above t = 4.  verify checks each pair through two
+    norm routes, whose cost grows about as (t-1)^2, so a file at the cap
+    took 1.0 to 1.8 s to verify at every t from 4 to 24 (p = 3, 2-vCPU Xeon)."""
+    return min(MAX_PAIRS, MAX_PAIRS * 9 // (t - 1) ** 2)
 
 
 def encode_witness(keys: tuple, params, left, right, verified: bool) -> dict:
@@ -592,10 +596,10 @@ def parse_witness(data) -> tuple[str, list[Vertex], list[Vertex]]:
         side = data[part]
         if not isinstance(side, list) or not side or size not in (None, len(side)):
             raise ValueError(f"{part} must list {size or 'one or more'} vertices")
-    pairs = len(data[names[0]]) * len(data[names[1]])
-    if pairs > MAX_PAIRS:
+    pairs, cap = len(data[names[0]]) * len(data[names[1]]), pair_cap(t)
+    if pairs > cap:
         raise ValueError(
-            f"{names[0]} x {names[1]} has {pairs} vertex pairs, above the cap of {MAX_PAIRS}"
+            f"{names[0]} x {names[1]} has {pairs} vertex pairs, above the cap of {cap}"
         )
     left, right = (check_vertices(data[part], part, p, t - 1) for part in names)
     return kind, left, right

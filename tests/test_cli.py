@@ -443,6 +443,28 @@ class TestCensus:
         assert r.returncode == 0
         assert "bound" not in r.stdout
 
+    def test_k_above_t_skips_bound(self, capsys):
+        argv = ["census", "--p", "3", "--t", "3", "--k", "4"]
+        assert cli.main(argv) == 0
+        assert "bound" not in capsys.readouterr().out
+        assert cli.main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound_applies"] is False
+
+    def test_one_trial_reaches_the_planted_quadruple(self, capsys):
+        # the seed-0 draw alone reaches 1, so the 6 comes from the planted
+        # witness quadruple, the argmax
+        argv = ["census", "--p", "7", "--t", "4", "--k", "4", "--sample",
+                "--trials", "1", "--seed", "0"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "graph: p=7 t=4 n=2058\n"
+            "mode: sample trials=1 seed=0 planted=witness-quadruple\n"
+            "max common neighbors over 4-subsets: 6\n"
+            "achieved by vertex ids: 2 9 16 263\n"
+            "bound (t-1)! = 6: within bound\n"
+        )
+        assert make_graph(7, 4).sample_max_common(4, 1, 0)[0] == 1
+
     def test_bad_graph_params(self):
         assert run("census", "--p", 4, "--t", 4, "--k", 4).returncode == 2
         assert run("census", "--p", 3, "--t", 4, "--k", 0).returncode == 2
@@ -731,6 +753,49 @@ class TestVerify:
             "result: FAIL",
         ]
 
+    def test_edited_constant_term_fails_its_four_identities(self, tmp_path, capsys):
+        # the four identities of a B vertex assume its constant term is -1
+        def edit(data):
+            data["R"][3]["alpha"][0] = 0
+
+        code, lines = self.verify_edited(tmp_path, capsys, ["witness46", "--p", "7"], edit)
+        assert code == 1
+        assert "identity checks: 20/24 passed" in lines
+        failed = [ln for ln in lines if ln.startswith("  identity failed:")]
+        assert len(failed) == 4
+        assert all("B[3]" in ln and "constant term 0 vs 6" in ln for ln in failed)
+
+    def test_edited_second_coordinate_fails_its_identities(self, tmp_path, capsys):
+        def edit(data):
+            data["B"][0]["a"] = data["B"][0]["a"] % 16 + 1
+
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "20"]
+        code, lines = self.verify_edited(tmp_path, capsys, argv, edit)
+        assert code == 1
+        assert "identity checks: 3/6 passed" in lines
+        failed = [ln for ln in lines if ln.startswith("  identity failed:")]
+        assert len(failed) == 3 and all("B[0]" in ln for ln in failed)
+
+    def test_pairs_above_cap_at_t12_refused_before_any_field(self, tmp_path, capsys, monkeypatch):
+        # the cap shrinks as (t-1)^-2 above t = 4: 2,437 pairs at t = 12
+        assert graph.pair_cap(12) == 2437
+        u, v = graph.Vertex((0,) * 11, 1), graph.Vertex((1,) + (0,) * 10, 1)
+        modulus = [1] * 12
+        at_cap = graph.encode_witness(graph.GRAPH_KEYS, (3, 12, modulus), [u], [v] * 2437, True)
+        assert graph.parse_witness(at_cap)[0] == "graph"
+        over = graph.encode_witness(graph.GRAPH_KEYS, (3, 12, modulus), [u] * 2, [v] * 1219, True)
+        out = tmp_path / "big.json"
+        out.write_text(json.dumps(over))
+
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(ExtField, "__init__", no_field)
+        assert cli.main(["verify", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: L x R has 2438 vertex pairs, above the cap of 2437\n"
+        )
+
     @staticmethod
     def witnesses_at_t24(tmp_path):
         """A 1x1 graph witness over P(3, 24) and the general 23x1 witness at
@@ -836,6 +901,19 @@ class TestExport:
         r = run("export", "--p", 3, "--t", 4, "--output", out)
         assert "vertices: 54" in r.stdout
 
+    @pytest.mark.parametrize("p, t, edges", [(3, 4, 689), (5, 3, 1188), (2, 5, 120)])
+    def test_edge_count(self, tmp_path, capsys, p, t, edges):
+        # each vertex (alpha, a) meets one b for each of the q'-1 betas with
+        # N(alpha + beta) != 0, a loop included when a^2 = N(2 alpha); for odd
+        # p, q'-1 vertices have that loop, and for p = 2, 2 alpha = 0, so none
+        q = p ** (t - 1)
+        n = q * (p - 1)
+        assert edges == ((q - 1) * (n - 1) // 2 if p % 2 else n * (q - 1) // 2)
+        out = tmp_path / "edges.txt"
+        assert cli.main(["export", "--p", str(p), "--t", str(t), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"vertices: {n}\nedges: {edges}\n"
+        assert len(out.read_text().splitlines()) == edges
+
     def test_size_guard(self):
         assert run("export", "--p", 101, "--t", 4).returncode == 2
 
@@ -934,7 +1012,7 @@ class TestWitnessGeneral:
             raise AssertionError("primes were sieved")
 
         monkeypatch.setattr(general, "primes_up_to", no_sieve)
-        m_max = graph.MAX_PAIRS // (t - 1)
+        m_max = graph.pair_cap(t) // (t - 1)  # 10922 at t = 4, 24 at t = 24
         argv = ["witness-general", "--t", str(t), "--limit", "20"]
         assert cli.main([*argv, "--m", str(m_max + 1)]) == 2
         assert capsys.readouterr() == (

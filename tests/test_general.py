@@ -90,7 +90,15 @@ class TestFindParameters:
         assert find_parameters(4, 2, 2000, max_results=n, jobs=2) == full[:n]
         scanned = count_scans(monkeypatch)
         assert find_parameters(4, 2, 2000, max_results=n) == full[:n]
-        assert scanned == primes_up_to(2000)[: 64 + 128]
+        # the scan stops at 313, the 65th prime, where result n is found
+        assert full[n - 1].p == 313
+        assert scanned == primes_up_to(2000)[:65]
+
+    def test_first_result_stops_at_its_prime(self, monkeypatch):
+        # (17, 8) is found at 17, the 7th prime, and the scan stops there
+        scanned = count_scans(monkeypatch)
+        assert pairs(find_parameters(4, 2, 1000, max_results=1, jobs=2)) == [(17, 8)]
+        assert scanned == [2, 3, 5, 7, 11, 13, 17]
 
     def test_all_is_one_pass(self, monkeypatch):
         scanned = count_scans(monkeypatch)
@@ -165,6 +173,12 @@ class TestVerifyWitness:
         assert report.biclique.report.pairs_checked == 6
         assert report.adjacency_failures == []
         assert report.identity_failures == []
+
+    def test_identity_count_follows_the_checks_run(self):
+        # one identity per (B vertex, c): a side one vertex short runs 3
+        w = self.build_17_9()
+        report = verify_general_witness(w._replace(B=w.B[:1]))
+        assert report.identity_checked == 3 and report.identity_failures == []
 
     def test_m1_passes(self):
         g = find_parameters(4, 1, 7)[4]

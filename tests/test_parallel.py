@@ -100,6 +100,22 @@ def test_one_pool_per_search_and_none_for_a_sampled_census(pools, capsys):
     assert len(pools) == 1
 
 
+@pytest.mark.parametrize(
+    "search", [["--m", "2", "--limit", "1000"], ["--m", "7", "--limit", "20000"]],
+    ids=["m2", "m7"],
+)
+@pytest.mark.parametrize("jobs", ["2", "8"])
+def test_first_result_search_starts_no_pool(monkeypatch, pools, capsys, search, jobs):
+    # it maps one prime at a time, so no map has a second task for a worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["witness-general", "--t", "4", *search]
+    assert cli.main(argv + ["--jobs", jobs]) == 0
+    assert pools == []
+    parallel_out = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == parallel_out
+
+
 def test_cli_import_loads_no_process_pool():
     # a fresh interpreter: this one has imported the pool already
     src = os.path.dirname(os.path.dirname(normgraph.__file__))
