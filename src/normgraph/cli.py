@@ -274,14 +274,15 @@ def cmd_export(args) -> int:
             for line in lines:
                 fh.write(line + "\n")
                 count += 1
-        print(f"vertices: {G.n}")
-        print(f"edges: {count}")
     else:
         for line in lines:
             print(line)
             count += 1
-        _note(f"vertices: {G.n}")
-        _note(f"edges: {count}")
+    if 2 * count != G.degree_sum():
+        raise AssertionError(f"{count} edges, not half the degree sum {G.degree_sum()}")
+    report = print if args.output else _note
+    report(f"vertices: {G.n}")
+    report(f"edges: {count}")
     return 0
 
 

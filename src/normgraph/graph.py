@@ -31,6 +31,12 @@ CENSUS_MEMORY = 2**30
 
 MAX_COMMON_QUERY = 8
 
+# every bitset table is probed for bit(i, j) == bit(j, i) on this many seeded
+# pairs, the first SYMMETRY_ORACLE of them also against adjacent()
+SYMMETRY_SEED = 0
+SYMMETRY_PAIRS = 256
+SYMMETRY_ORACLE = 16
+
 # 32-bit Mersenne Twister words a sampled census reads per getrandbits call
 # (a 2 KB block)
 DRAW_WORDS = 512
@@ -135,7 +141,7 @@ class NormGraph:
         self.qprime = p ** (t - 1)
         self.n = self.qprime * (p - 1)
         self._norms: list[int] | None = None
-        self._blocks: list[list[str]] | None = None
+        self._rows: tuple[list[int], list[tuple[int, int, int, int]]] | None = None
         self._bitsets: list[int] | None = None
 
     # -- vertex indexing -------------------------------------------------
@@ -190,47 +196,71 @@ class NormGraph:
             self._norms = conj
         return self._norms
 
-    def _norm_row(self, idx: int) -> list[int]:
-        """beta -> N(alpha + beta) over beta in index order, alpha the element
-        of index idx.  Indices add digit-wise mod p, so this is the norm table
-        with digit axis i rotated by alpha's digit i: slices, no field
-        arithmetic."""
-        p = self.p
-        row = self._norm_table()
-        stride = 1
-        for digit in self.field.element_from_index(idx):
-            if digit:
-                shift, span = digit * stride, p * stride
-                rotated = []
-                for b in range(0, self.qprime, span):
-                    rotated += row[b + shift : b + span]
-                    rotated += row[b : b + shift]
-                row = rotated
-            stride *= p
-        return row
-
     def _block_table(self) -> list[list[str]]:
         """blocks[a-1][v]: the p-1 bits, most significant first, that vertex
         (alpha, a) holds for a beta with N(alpha + beta) = v: one-hot at
         b = v/a (bit b-1 of the block), all zero for v = 0."""
-        if self._blocks is None:
-            p = self.p
-            onehot = ["0" * (p - 1)] + [
-                "0" * (p - 1 - b) + "1" + "0" * (b - 1) for b in range(1, p)
-            ]
-            self._blocks = [
-                [onehot[v * fp_inv(a, p) % p] for v in range(p)] for a in range(1, p)
-            ]
-        return self._blocks
+        p = self.p
+        onehot = ["0" * (p - 1)] + [
+            "0" * (p - 1 - b) + "1" + "0" * (b - 1) for b in range(1, p)
+        ]
+        return [[onehot[v * fp_inv(a, p) % p] for v in range(p)] for a in range(1, p)]
 
-    def _row_bitset(self, reversed_row: list[int], vid: int) -> int:
-        # beta's block sits at bits j*(p-1)..; the last beta leads the string
-        block = self._block_table()[vid % (self.p - 1)]
-        bits = int("".join(map(block.__getitem__, reversed_row)), 2)
-        return bits & ~(1 << vid)  # simple graph: drop the loop if present
+    def _rotation(self) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+        """The bitsets of the p-1 vertices (0, a), and one mask quadruple per
+        digit axis.  N(0) = 0, so no base row holds its own bit.
+
+        Indices add digit-wise mod p, so vertex (alpha, a)'s bits are those
+        of (0, a) with digit axis i rotated by alpha's digit i: the block of
+        beta takes that of beta + alpha.  A unit step of digit i moves a
+        block by s = p^i (p-1) bits, and one rotation step on axis i, after
+        which each beta's block holds that of beta + e_i, is
+        (x >> s) & low | (x << back) & high with back = (p-1) s; high holds
+        the blocks whose digit i is p-1, low all others."""
+        if self._rows is None:
+            n, span = self.n, self.p - 1
+            # beta's block sits at bits j*(p-1)..; the last beta leads the string
+            norms = self._norm_table()[::-1]
+            rows = [int("".join(map(b.__getitem__, norms)), 2) for b in self._block_table()]
+            full = (1 << n) - 1
+            masks = []
+            for _ in range(self.field.k):
+                back = span * (self.p - 1)
+                # full // (2^(p span) - 1) sets the lowest bit of every run of
+                # p spans, so low repeats p-1 spans of ones in every run
+                low = ((1 << back) - 1) * (full // ((1 << (back + span)) - 1))
+                masks.append((span, back, low, full ^ low))
+                span *= self.p
+            self._rows = rows, masks
+        return self._rows
 
     def _bitset_for(self, vid: int) -> int:
-        return self._row_bitset(self._norm_row(vid // (self.p - 1))[::-1], vid)
+        base, masks = self._rotation()
+        row = [base[vid % (self.p - 1)]]
+        for digit, mask in zip(self.field.element_from_index(vid // (self.p - 1)), masks):
+            for _ in range(digit):
+                row = _rotate(row, mask)
+        return row[0] & ~(1 << vid)  # simple graph: drop the loop if present
+
+    def _loop_ids(self) -> set[int]:
+        """Ids of the vertices (alpha, a) with a^2 = N(2 alpha): the rotated
+        rows that hold their own bit."""
+        p, field, norms = self.p, self.field, self._norm_table()
+        roots = [[] for _ in range(p)]
+        for a in range(1, p):
+            roots[a * a % p].append(a)
+        return {
+            idx * (p - 1) + a - 1
+            for idx, alpha in enumerate(field.elements())
+            for a in roots[norms[field.index(field.add(alpha, alpha))]]
+        }
+
+    def degree_sum(self) -> int:
+        """Sum of all degrees: each vertex meets one b for each of the q'-1
+        betas with N(alpha + beta) != 0, loop included when a^2 = N(2 alpha).
+        For odd p, q'-1 vertices have that loop; for p = 2, 2 alpha = 0, so
+        none does."""
+        return (self.qprime - 1) * (self.n - 1 if self.p % 2 else self.n)
 
     def _all_bitsets(self) -> list[int]:
         need = self.n * -(-self.n // 8)
@@ -240,17 +270,47 @@ class NormGraph:
                 f"above the memory guard {CENSUS_MEMORY}"
             )
         if self._bitsets is None:
-            self._bitsets = list(self._iter_bitsets())
+            bitsets = list(self._iter_bitsets())
+            self._probe_symmetry(bitsets)
+            self._bitsets = bitsets
         return self._bitsets
 
     def _iter_bitsets(self):
-        """Every vertex's bitset in id order, one norm row per alpha shared
-        by its p-1 vertices."""
-        for idx in range(self.qprime):
-            reversed_row = self._norm_row(idx)[::-1]
-            first = idx * (self.p - 1)
-            for vid in range(first, first + self.p - 1):
-                yield self._row_bitset(reversed_row, vid)
+        """Every vertex's bitset in id order: the base rows rotated by each
+        alpha in index order, the p-1 rows of one alpha together.  Digit 0
+        varies fastest, so each alpha's rows are those of an earlier alpha
+        rotated one step on one axis.  Once the last bitset is out, their
+        bit counts must add up to degree_sum()."""
+        base, masks = self._rotation()
+        loops = self._loop_ids()
+        degrees = 0
+        vid = 0
+        for rows in _rotations(base, masks, self.p):
+            for row in rows:
+                if vid in loops:  # simple graph: drop the loop
+                    row ^= 1 << vid
+                degrees += row.bit_count()
+                yield row
+                vid += 1
+        if degrees != self.degree_sum():
+            raise AssertionError(
+                f"bitset degrees sum to {degrees}, not {self.degree_sum()}"
+            )
+
+    def _probe_symmetry(self, bitsets: list[int]) -> None:
+        """bit(i, j) == bit(j, i) on SYMMETRY_PAIRS seeded pairs, the first
+        SYMMETRY_ORACLE of them (when i != j) also against adjacent(), which
+        runs both norm routes."""
+        rng = random.Random(SYMMETRY_SEED)
+        for m in range(SYMMETRY_PAIRS):
+            i, j = rng.randrange(self.n), rng.randrange(self.n)
+            bit = bitsets[i] >> j & 1
+            if bit != bitsets[j] >> i & 1 or (
+                m < SYMMETRY_ORACLE
+                and i != j
+                and bit != self.adjacent(self.vertex_from_id(i), self.vertex_from_id(j))
+            ):
+                raise AssertionError(f"bitsets disagree at vertex pair ({i}, {j})")
 
     def common_neighbors(self, S: list[Vertex]) -> list[Vertex]:
         """Vertices outside S adjacent to every member of S, ascending."""
@@ -387,6 +447,25 @@ def _power_norm_table(field: ExtField) -> list[int]:
         table[field.index(e)] = norm_e
         e, norm_e = field.mul(e, g), norm_e * norm_g % p
     return table
+
+
+def _rotate(rows: list[int], mask: tuple[int, int, int, int]) -> list[int]:
+    """rows with one digit axis rotated one step; mask is from _rotation."""
+    s, back, low, high = mask
+    return [x >> s & low | x << back & high for x in rows]
+
+
+def _rotations(rows: list[int], masks: list, p: int):
+    """rows rotated by every alpha in index order, axis len(masks) - 1
+    outermost: digit 0, the fastest, is the innermost loop."""
+    if not masks:
+        yield rows
+        return
+    *inner, mask = masks
+    for digit in range(p):
+        if digit:
+            rows = _rotate(rows, mask)
+        yield from _rotations(rows, inner, p)
 
 
 def _iter_bits(bits: int):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: flags, exit codes, formats, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -871,6 +872,33 @@ class TestFailedCrossCheck:
         self.corrupt_norm_conj(monkeypatch)
         code = cli.main(["export", "--p", "3", "--t", "4"])
         self.assert_one_line_exit(capsys, code, "norm table mismatch at element 4")
+
+    @staticmethod
+    def keep_one_loop(monkeypatch):
+        # the rotated row of the lowest looped vertex keeps its own bit
+        loop_ids = graph.NormGraph._loop_ids
+        monkeypatch.setattr(
+            graph.NormGraph, "_loop_ids", lambda G: (loops := loop_ids(G)) - {min(loops)}
+        )
+
+    def test_census_with_a_kept_loop(self, monkeypatch, capsys):
+        self.keep_one_loop(monkeypatch)
+        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "2"])
+        self.assert_one_line_exit(capsys, code, "bitset degrees sum to 1379, not 1378")
+
+    def test_export_with_a_kept_loop(self, monkeypatch, capsys, tmp_path):
+        # the count lines are not printed
+        self.keep_one_loop(monkeypatch)
+        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(tmp_path / "e")])
+        self.assert_one_line_exit(capsys, code, "bitset degrees sum to 1379, not 1378")
+
+    def test_export_with_a_lost_edge(self, monkeypatch, capsys, tmp_path):
+        edge_lines = graph.NormGraph.edge_lines
+        monkeypatch.setattr(
+            graph.NormGraph, "edge_lines", lambda G: itertools.islice(edge_lines(G), 1, None)
+        )
+        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(tmp_path / "e")])
+        self.assert_one_line_exit(capsys, code, "688 edges, not half the degree sum 1378")
 
     def test_witness46(self, monkeypatch, capsys):
         # the cube roots of 1 in place of those of 6 mod 7

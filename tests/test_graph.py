@@ -181,9 +181,23 @@ class TestNeighborhoods:
             G.common_neighbors([G.vertex_from_id(0), G.vertex_from_id(0)])
 
 
+def direct_bitset(G, vid):
+    """Vertex vid's bitset from field.add and the norm table, with no
+    rotation: bit id(beta, b) for each beta with N(alpha + beta) = ab."""
+    p, norms = G.p, G._norm_table()
+    alpha, a = G.vertex_from_id(vid)
+    bits = 0
+    for j, beta in enumerate(G.field.elements()):
+        v = norms[G.field.index(G.field.add(alpha, beta))]
+        if v:
+            bits |= 1 << (j * (p - 1) + v * ff.fp_inv(a, p) % p - 1)
+    return bits & ~(1 << vid)
+
+
 class TestBitsets:
-    """The census bitsets, built from rotated norm rows, against the
-    adjacency oracle, which runs both norm routes on every pair."""
+    """The census bitsets, the base rows of the vertices (0, a) rotated by
+    alpha's digits, against the adjacency oracle, which runs both norm routes
+    on every pair, and against bitsets built with no rotation."""
 
     @staticmethod
     def agrees(G, bitsets, u, v):
@@ -192,7 +206,7 @@ class TestBitsets:
         adjacent = G.adjacent(G.vertex_from_id(u), G.vertex_from_id(v))
         return (bitsets[u] >> v & 1) == adjacent
 
-    @pytest.mark.parametrize("p, t", [(3, 4), (5, 3), (3, 5)])
+    @pytest.mark.parametrize("p, t", [(2, 5), (3, 4), (5, 3), (3, 5)])
     def test_every_ordered_pair(self, p, t):
         G = make_graph(p, t)
         bitsets = G._all_bitsets()
@@ -210,6 +224,49 @@ class TestBitsets:
         for _ in range(500):
             u, v = rng.randrange(G.n), rng.randrange(G.n)
             assert self.agrees(G, bitsets, u, v), (u, v)
+
+    @pytest.mark.parametrize("p, t", [(2, 4), (2, 5), (3, 4), (5, 3), (3, 5)])
+    def test_table_equals_unrotated_build(self, p, t):
+        G = make_graph(p, t)
+        assert G._all_bitsets() == [direct_bitset(G, vid) for vid in range(G.n)]
+
+    @pytest.mark.parametrize("p, t", [(7, 4), (11, 4)])
+    def test_seeded_vertices_equal_unrotated_build(self, p, t):
+        G = make_graph(p, t)
+        bitsets = G._all_bitsets()
+        for vid in random.Random(p).sample(range(G.n), 200):
+            assert bitsets[vid] == direct_bitset(G, vid), vid
+
+    @pytest.mark.parametrize("p, t", [(2, 5), (3, 4), (5, 3), (7, 3)])
+    def test_degrees_sum_to_identity(self, p, t):
+        G = make_graph(p, t)
+        degrees = sum(bits.bit_count() for bits in G._all_bitsets())
+        assert degrees == G.degree_sum()
+        assert degrees == (G.qprime - 1) * (G.n - (p % 2))
+
+    def test_kept_loop_fails_the_degree_sum(self, monkeypatch):
+        G = make_graph(3, 4)
+        loops = G._loop_ids()
+        monkeypatch.setattr(NormGraph, "_loop_ids", lambda graph: loops - {min(loops)})
+        with pytest.raises(AssertionError, match="bitset degrees sum to 1379, not 1378"):
+            G._all_bitsets()
+        assert G._bitsets is None
+
+    @pytest.mark.parametrize("both_ways", [False, True])
+    def test_probe_catches_a_flipped_bit(self, both_ways):
+        # the first probed pair; flipped both ways the table stays symmetric,
+        # and only the adjacency check sees it
+        G = make_graph(3, 4)
+        rng = random.Random(graph.SYMMETRY_SEED)
+        i, j = rng.randrange(G.n), rng.randrange(G.n)
+        assert i != j
+        table = list(G._iter_bitsets())
+        G._probe_symmetry(table)
+        table[i] ^= 1 << j
+        if both_ways:
+            table[j] ^= 1 << i
+        with pytest.raises(AssertionError, match=rf"bitsets disagree at vertex pair \({i}, {j}\)"):
+            G._probe_symmetry(table)
 
     def test_norm_table_routes_must_agree(self, monkeypatch):
         G = make_graph(3, 4)
@@ -358,10 +415,10 @@ class TestCensus:
         exhaustive = G.census_max_common(3)
         bitsets = G._all_bitsets()
 
-        def no_rows(graph, idx):
+        def no_rows(graph):
             raise AssertionError("bitsets rebuilt")
 
-        monkeypatch.setattr(NormGraph, "_norm_row", no_rows)
+        monkeypatch.setattr(NormGraph, "_iter_bitsets", no_rows)
         assert G.sample_max_common(4, trials=300, seed=7) == sampled
         assert G.census_max_common(3) == exhaustive
         assert G._all_bitsets() is bitsets
