@@ -269,17 +269,22 @@ def cmd_export(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     count = 0
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+                    count += 1
+        else:  # lines printed before a failed check stay printed
             for line in lines:
-                fh.write(line + "\n")
+                print(line)
                 count += 1
-    else:
-        for line in lines:
-            print(line)
-            count += 1
-    if 2 * count != G.degree_sum():
-        raise AssertionError(f"{count} edges, not half the degree sum {G.degree_sum()}")
+        if 2 * count != G.degree_sum():
+            raise AssertionError(f"{count} edges, not half the degree sum {G.degree_sum()}")
+    except AssertionError:
+        if args.output:  # a failed check leaves no edge list behind
+            os.remove(args.output)
+        raise
     report = print if args.output else _note
     report(f"vertices: {G.n}")
     report(f"edges: {count}")

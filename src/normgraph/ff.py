@@ -122,8 +122,9 @@ class ExtField:
 
     def norm_det(self, a: ExtElement) -> int:
         """Norm to F_p as det of the multiplication-by-a matrix, which for
-        the monic modulus m is Res(m, a): Euclid over F_p on the coefficient
-        lists, with no field product, Frobenius or inverse."""
+        the monic modulus m is Res(m, a) on the coefficient lists, with no
+        field product, Frobenius or inverse: that 3 x 3 determinant written
+        out at k = 3, Euclid over F_p at every other k."""
         return resultant(self.modulus, poly_trim(a), self.p)
 
     def norm_pow(self, a: ExtElement) -> int:

@@ -164,15 +164,25 @@ def powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
 
 
 def _cubic_pow_mod(e: int, h, p: int) -> tuple[int, int, int]:
-    # x^e mod the monic cubic h over F_p, the sieve's hot loop.  With
-    # x^3 == r0 + r1*x + r2*x^2, r_i = -h_i, a square's x^4 term is folded
-    # into x^3 (x^4 == r0*x + r1*x^2 + r2*x^3) and x^3 into the three low
-    # terms, so the power stays on three coefficients and nothing is
-    # trimmed or long-divided inside the loop.  The square is written out
-    # because a call per product costs more than the arithmetic.  Left to
-    # right, so every multiply is by x: a shift plus one fold of x^3.
+    """x^e mod the monic cubic h over F_p, the sieve's hot loop, as three
+    reduced coefficients.  Left to right, so every multiply is by x: a
+    shift plus one fold of x^3.  With x^3 == r0 + r1*x + r2*x^2, r_i =
+    -h_i, a square's x^4 term is folded into x^3 (x^4 == r0*x + r1*x^2 +
+    r2*x^3) and x^3 into the three low terms, so the power stays on three
+    coefficients and nothing is trimmed or long-divided inside the loop.
+    The squares are written out because a call per product costs more than
+    the arithmetic.  For a binomial x^3 - c (r1 = r2 = 0, the sieve's
+    three cubics) both folds are one product by c, and a multiply by x is a
+    rotation."""
     r0, r1, r2 = (-c % p for c in h[:3])
     c0, c1, c2 = 1, 0, 0
+    if not r1 and not r2:  # x^3 == r0 and x^4 == r0*x
+        for bit in bin(e)[2:]:
+            c0, c1, c2 = ((c0 * c0 + 2 * r0 * c1 * c2) % p, (2 * c0 * c1 + r0 * c2 * c2) % p,
+                          (c1 * c1 + 2 * c0 * c2) % p)
+            if bit == "1":
+                c0, c1, c2 = r0 * c2 % p, c0, c1
+        return c0, c1, c2
     for bit in bin(e)[2:]:
         d4 = c2 * c2 % p
         d3 = (2 * c1 * c2 + d4 * r2) % p
@@ -189,17 +199,18 @@ def _cubic_pow_mod(e: int, h, p: int) -> tuple[int, int, int]:
 def poly_pow_mod(base, e: int, h, p: int) -> list[int]:
     """base^e mod h over F_p, as the canonical remainder.
 
-    h is made monic and need not be irreducible.  x^e mod a cubic takes
-    _cubic_pow_mod, the sieve's hot loop; every other power is powmod on
-    base's remainder mod h.
+    h is made monic and need not be irreducible.  x^e mod a cubic, with x
+    given as [0, 1], goes straight to _cubic_pow_mod, the sieve's hot loop,
+    before any division of the base; every other power is powmod on base's
+    remainder mod h.
     """
     if e < 0:
         raise ValueError("negative exponent")
     h = poly_monic(h, p)
-    base = poly_divmod(base, h, p)[1]  # raises ZeroDivisionError on h == 0
     k = len(h) - 1
     if k == 3 and base == [0, 1]:
         return poly_trim(_cubic_pow_mod(e, h, p))
+    base = poly_divmod(base, h, p)[1]  # raises ZeroDivisionError on h == 0
     if k == 0:  # every remainder mod a unit is 0, but base^0 stays [1]
         return [] if e else [1]
     return poly_trim(powmod(base + [0] * (k - len(base)), e, h, p))
@@ -220,14 +231,27 @@ def frobenius_matrix(h, p: int) -> list[tuple[int, ...]]:
 
 
 def resultant(f, g, p: int) -> int:
-    """Res(f, g) over F_p for canonical f and g, by Euclid (von zur Gathen
-    and Gerhard, Modern Computer Algebra, ch. 6): with n = deg f, m = deg g
-    and l = deg(f mod g), Res(f, g) = (-1)^(nm) lc(g)^(n-l) Res(g, f mod g),
-    Res(f, c) = c^n for a constant c, and 0 once g or a remainder vanishes.
-    So it is nonzero iff gcd(f, g) = 1, and for monic f it is the product of
-    g over f's roots.  Remainders are taken in place on canonical lists."""
+    """Res(f, g) over F_p for canonical f and g.  It is nonzero iff gcd(f, g)
+    = 1, and for monic f it is the product of g over f's roots, which is the
+    determinant of u -> g*u on F_p[x]/(f).
+
+    For f a monic cubic and deg g < 3 (the cubic irreducibility test and
+    the norm in GF(p^3)) it is that 3 x 3 determinant, whose rows are g,
+    x*g and x^2*g mod f, each the last times x.  Every other pair goes by
+    Euclid (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6):
+    with n = deg f, m = deg g and l = deg(f mod g), Res(f, g) = (-1)^(nm)
+    lc(g)^(n-l) Res(g, f mod g), Res(f, c) = c^n for a constant c, and 0
+    once g or a remainder vanishes.  Remainders are taken in place on
+    canonical lists."""
     if not f or not g:
         return 0
+    if len(f) == 4 and f[3] == 1 and len(g) < 4:
+        r0, r1, r2 = -f[0], -f[1], -f[2]  # x^3 == r0 + r1*x + r2*x^2
+        a0, a1, a2 = (*g, 0, 0)[:3]
+        b0, b1, b2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+        c0, c1, c2 = b2 * r0, b0 + b2 * r1, b1 + b2 * r2
+        return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0)) % p
     res, a, b = 1, f, g
     while len(b) > 1:
         lead, n, m = b[-1], len(a) - 1, len(b) - 1
@@ -256,11 +280,13 @@ def is_irreducible(h, p: int) -> bool:
 
     A cubic is irreducible iff it has no root in F_p, iff it is coprime to
     x^p - x (the product of all x - a over F_p), iff Res(h, x^p - x) != 0:
-    one _cubic_pow_mod on the monic h and one resultant.  Any other degree
-    d >= 2 takes the distinct-degree test: h is irreducible iff
-    x^(p^d) == x mod h and Res(h, x^(p^(d/l)) - x) != 0 for every prime l
-    dividing d, with each x^(p^i) one product by the Frobenius matrix of
-    F_p[x]/(h).  h is normalised once and scaled only when not monic.
+    one _cubic_pow_mod on the monic h and one resultant, which for a cubic
+    is a 3 x 3 determinant.  Any other degree d >= 2 takes the
+    distinct-degree test: h is irreducible iff x^(p^d) == x mod h and
+    Res(h, x^(p^(d/l)) - x) != 0 for every prime l dividing d, each
+    resultant by Euclid and each x^(p^i) one product by the Frobenius
+    matrix of F_p[x]/(h).  h is normalised once and scaled only when not
+    monic.
     """
     h = poly_monic(h, p)
     d = len(h) - 1

@@ -889,16 +889,39 @@ class TestFailedCrossCheck:
     def test_export_with_a_kept_loop(self, monkeypatch, capsys, tmp_path):
         # the count lines are not printed
         self.keep_one_loop(monkeypatch)
-        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(tmp_path / "e")])
+        out = tmp_path / "e"
+        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(out)])
         self.assert_one_line_exit(capsys, code, "bitset degrees sum to 1379, not 1378")
+        assert not out.exists()
 
     def test_export_with_a_lost_edge(self, monkeypatch, capsys, tmp_path):
         edge_lines = graph.NormGraph.edge_lines
         monkeypatch.setattr(
             graph.NormGraph, "edge_lines", lambda G: itertools.islice(edge_lines(G), 1, None)
         )
-        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(tmp_path / "e")])
+        out = tmp_path / "e"
+        code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(out)])
         self.assert_one_line_exit(capsys, code, "688 edges, not half the degree sum 1378")
+        assert not out.exists()
+
+    def test_sieve_with_a_lying_residue_route(self, monkeypatch, capsys):
+        # the residue route calls 2 a cube mod 37, a qualifying prime
+        power_residue = k46.power_residue
+        monkeypatch.setattr(
+            k46, "power_residue", lambda a, m, p: (a, p) == (2, 37) or power_residue(a, m, p)
+        )
+        code = cli.main(["sieve", "--limit", "100"])
+        self.assert_one_line_exit(
+            capsys, code,
+            "internal check failed: splitting and residue formulations disagree at p = 37: ",
+        )
+
+    def test_witness46_with_a_wrong_determinant(self, monkeypatch, capsys):
+        monkeypatch.setattr(ExtField, "norm_det", lambda field, a: 1)
+        code = cli.main(["witness46"])
+        self.assert_one_line_exit(
+            capsys, code, "internal check failed: norm mismatch: conjugate product "
+        )
 
     def test_witness46(self, monkeypatch, capsys):
         # the cube roots of 1 in place of those of 6 mod 7

@@ -10,6 +10,7 @@ from normgraph.general import shifted_poly
 from normgraph.graph import _smallest_irreducible
 from normgraph.k46 import QualifyingCertificate, is_qualifying_prime
 from normgraph.polys import (
+    _cubic_pow_mod,
     _ext_divmod,
     _ext_gcd,
     _norm_selector,
@@ -189,6 +190,18 @@ class TestCubicPowMod:
     def test_negative_exponent(self):
         with pytest.raises(ValueError):
             poly_pow_mod([0, 1], -1, [1, 0, 0, 1], 7)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_binomial_and_generic_cubics_match_powmod(self, p):
+        # every x^3 + h2*x^2 + h0: the binomials x^3 - c at h2 = 0, and for
+        # h2 != 0 cubics whose x term alone vanishes, which must not take the
+        # binomial loop; then seeded cubics with every coefficient drawn
+        rng = random.Random(200 + p)
+        cubics = [[h0, 0, h2, 1] for h0 in range(p) for h2 in range(p)]
+        cubics += [[rng.randrange(p) for _ in range(3)] + [1] for _ in range(20)]
+        for h in cubics:
+            for e in (0, 1, 2, 3, p, p * p, 12345):
+                assert _cubic_pow_mod(e, h, p) == powmod((0, 1, 0), e, h, p), (h, e)
 
 
 class TestMulmodPowmod:
@@ -386,6 +399,40 @@ class TestResultant:
             )
             sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
             assert resultant(g, f, p) == sign * resultant(f, g, p) % p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_split_cubic_is_product_over_roots(self, p):
+        # the 3 x 3 determinant on (x - u)(x - v)(x - w), with distinct and
+        # with repeated roots, against g evaluated at each root
+        rng = random.Random(300 + p)
+        for roots in itertools.combinations_with_replacement(range(p), 3):
+            f = reduce(lambda h, u: poly_mul(h, [-u, 1], p), roots, [1])
+            for _ in range(3):
+                g = poly_trim([rng.randrange(p) for _ in range(rng.randint(1, 3))])
+                assert resultant(f, g, p) == math.prod(poly_eval(g, u, p) for u in roots) % p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_irreducible_cubic_equals_conjugate_norm(self, p):
+        rng = random.Random(400 + p)
+        cubics = [[*c, 1] for c in itertools.product(range(p), repeat=3)]
+        irreducible = [h for h in cubics if is_irreducible(h, p)]
+        for f in rng.sample(irreducible, min(4, len(irreducible))):  # p = 2 has two
+            F = ExtField(p, 3, f)
+            for n in rng.sample(range(1, p**3), min(40, p**3 - 1)):
+                a = F.element_from_index(n)
+                assert resultant(f, poly_trim(a), p) == F.norm_conj(a)
+
+    @pytest.mark.parametrize("p", [3, 7, 101])
+    def test_scaled_cubic_by_euclid(self, p):
+        # Res(c*f, g) = c^(deg g) Res(f, g): c*f is not monic, so it goes by
+        # Euclid, and the monic f by the determinant
+        rng = random.Random(p + 3)
+        for _ in range(200):
+            f = [rng.randrange(p) for _ in range(3)] + [1]
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [rng.randrange(1, p)]
+            c = rng.randrange(2, p)
+            scaled = resultant([x * c % p for x in f], g, p)
+            assert scaled == pow(c, len(g) - 1, p) * resultant(f, g, p) % p
 
 
 def binomial(m, c):
