@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .ff import ExtElement, ExtField, fp_inv
 from .parallel import chunk_ranges, run_tasks, worker_count
 from .polys import is_irreducible
-from .primes import PSI_12, is_prime, prime_factors
+from .primes import PSI_12, is_prime
 
 # bitset-indexed neighborhoods (and edge export) refuse graphs above this
 ENUM_LIMIT = 2**22
@@ -180,18 +180,19 @@ class NormGraph:
             )
 
     def _norm_table(self) -> list[int]:
-        """N(e) for every element e in index order, by two independent routes
-        that must agree: one conjugate product per element, and N(g^i) =
-        N(g)^i along the powers of a primitive element g."""
+        """N(e) for every element e in index order, by the two routes that
+        ExtField.norm compares, the conjugate product and the determinant,
+        which must agree."""
         if self._norms is None:
             self._require_enumerable()
-            conj = [self.field.norm_conj(e) for e in self.field.elements()]
-            powers = _power_norm_table(self.field)
-            if conj != powers:
-                i = next(i for i, (x, y) in enumerate(zip(conj, powers)) if x != y)
+            field = self.field
+            conj = [field.norm_conj(e) for e in field.elements()]
+            dets = [field.norm_det(e) for e in field.elements()]
+            if conj != dets:
+                i = next(i for i, (x, y) in enumerate(zip(conj, dets)) if x != y)
                 raise AssertionError(
                     f"norm table mismatch at element {i}: conjugate product "
-                    f"{conj[i]} vs power route {powers[i]}"
+                    f"{conj[i]} vs determinant {dets[i]}"
                 )
             self._norms = conj
         return self._norms
@@ -427,26 +428,6 @@ class NormGraph:
             for uid, bits in enumerate(self._iter_bitsets())
             for off in _iter_bits(bits >> (uid + 1))
         )
-
-
-def _power_norm_table(field: ExtField) -> list[int]:
-    """N(e) in index order from N(g^i) = N(g)^i, g the first primitive
-    element in index order: one field multiplication per element, anchored
-    on the determinant norm of g."""
-    p, q = field.p, field.order()
-    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    g = next(
-        g
-        for g in map(field.element_from_index, range(1, q))
-        if all(field.pow(g, c) != field.one for c in cofactors)
-    )
-    norm_g = field.norm_det(g)
-    table = [0] * q
-    e, norm_e = field.one, 1
-    for _ in range(q - 1):
-        table[field.index(e)] = norm_e
-        e, norm_e = field.mul(e, g), norm_e * norm_g % p
-    return table
 
 
 def _rotate(rows: list[int], mask: tuple[int, int, int, int]) -> list[int]:

@@ -44,6 +44,17 @@ if WITNESS_CUBIC_DISC != -248832:
 
 DENSITY_TARGET = 1 / 9
 
+# the rejection reasons, in the order the conditions are tested (perfbench
+# parses these texts): the discriminants, p = 1 mod 3, and then the three
+# cube conditions, that 2 and 3 are no cubes mod p and 6 is one
+REASONS = (
+    f"{{p}} divides both discriminants {PRODUCT_DISC} and {WITNESS_CUBIC_DISC}",
+    "{p} is not 1 mod 3 (no primitive cube root of unity)",
+    "2 is a cube mod {p} (x^3 - 2 is not irreducible)",
+    "3 is a cube mod {p} (x^3 - 3 is not irreducible)",
+    "6 is not a cube mod {p} (x^3 - 6 does not split)",
+)
+
 
 class QualifyingCertificate(NamedTuple):
     p: int
@@ -59,76 +70,54 @@ class Rejection(NamedTuple):
 class DegeneracyError(ValueError):
     """Witness vertices collided or a second coordinate vanished."""
 
-    def __init__(self, p: int, detail: str):
-        super().__init__(f"degenerate witness at p = {p}: {detail}")
-        self.p = p
-        self.detail = detail
 
-
-def _shared_reject(p: int) -> str | None:
-    """A prime p's rejection by the discriminants, which both formulations
-    share.  26244 = 2^2 3^8 and 248832 = 2^10 3^5, so a prime divides one
-    exactly when it divides the other."""
-    if PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p:
-        return None
-    return f"{p} divides both discriminants {PRODUCT_DISC} and {WITNESS_CUBIC_DISC}"
-
-
-def _splits_into_distinct_linears(h, p: int) -> bool:
-    # h splits completely with distinct roots iff x^p == x mod h; the
-    # separability part is automatic here since gcd(x^3 - 6, 3x^2) = 1
-    # whenever p does not divide 6
-    return poly_pow_mod([0, 1], p, h, p) == [0, 1]
-
-
-def _poly_formulation(p: int) -> str | None:
-    """First failed condition of the splitting formulation, or None."""
-    if p % 3 != 1:
-        return f"{p} is not 1 mod 3 (no primitive cube root of unity)"
+def _poly_formulation(p: int) -> int | None:
+    """Index of the first cube condition that fails, from factoring, or
+    None: x^3 - 2 and x^3 - 3 irreducible, and x^3 - 6 split into distinct
+    linears, that is x^p == x mod x^3 - 6 (separable, as p does not divide 6)."""
     if not is_irreducible(X3_MINUS_2, p):
-        return f"2 is a cube mod {p} (x^3 - 2 is not irreducible)"
+        return 0
     if not is_irreducible(X3_MINUS_3, p):
-        return f"3 is a cube mod {p} (x^3 - 3 is not irreducible)"
-    if not _splits_into_distinct_linears(X3_MINUS_6, p):
-        return f"6 is not a cube mod {p} (x^3 - 6 does not split)"
-    return None
+        return 1
+    return None if poly_pow_mod([0, 1], p, X3_MINUS_6, p) == [0, 1] else 2
 
 
-def _residue_formulation(p: int) -> str | None:
-    """The same first failed condition, from exponentiations instead of
-    factoring."""
-    if p % 3 != 1:
-        return f"{p} is not 1 mod 3 (no primitive cube root of unity)"
+def _residue_formulation(p: int) -> int | None:
+    """The same index from exponentiations instead of factoring."""
     if power_residue(2, 3, p):
-        return f"2 is a cube mod {p} (x^3 - 2 is not irreducible)"
+        return 0
     if power_residue(3, 3, p):
-        return f"3 is a cube mod {p} (x^3 - 3 is not irreducible)"
-    if not power_residue(6, 3, p):
-        return f"6 is not a cube mod {p} (x^3 - 6 does not split)"
-    return None
+        return 1
+    return None if power_residue(6, 3, p) else 2
 
 
 def qualifying_verdict(p: int) -> tuple[bool, str]:
     """(qualifies, reason); reason is empty on success.  Both formulations
-    are evaluated and must agree on the first failed condition."""
+    are evaluated and must agree on the first failed cube condition."""
     if not is_prime(p):
         return False, f"{p} is not prime"
     return _prime_verdict(p)
 
 
 def _prime_verdict(p: int) -> tuple[bool, str]:
-    # qualifying_verdict for a p already known to be prime
-    shared = _shared_reject(p)
-    if shared is not None:
-        return False, shared
-    reason = _poly_formulation(p)
-    residue_reason = _residue_formulation(p)
-    if reason != residue_reason:
-        raise AssertionError(
-            f"splitting and residue formulations disagree at p = {p}: "
-            f"{reason!r} vs {residue_reason!r}"
-        )
-    return reason is None, reason or ""
+    # qualifying_verdict for a p already known to be prime.  26244 = 2^2 3^8
+    # and 248832 = 2^10 3^5, so a prime divides one exactly when it divides
+    # the other; that and p mod 3 are tested once, before either formulation
+    if not (PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p):
+        failed = 0
+    elif p % 3 != 1:
+        failed = 1
+    else:
+        cube, residue_cube = _poly_formulation(p), _residue_formulation(p)
+        if cube != residue_cube:
+            raise AssertionError(
+                f"splitting and residue formulations disagree at p = {p}: "
+                f"first failed cube condition {cube} vs {residue_cube}"
+            )
+        if cube is None:
+            return True, ""
+        failed = 2 + cube
+    return False, REASONS[failed].format(p=p)
 
 
 def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
@@ -261,16 +250,15 @@ def build_witness(
 
 def _check_degeneracy(w: WitnessK46) -> None:
     p = w.certificate.p
-    for label, vertices in (("A", w.A), ("B", w.B)):
-        for i, v in enumerate(vertices):
-            if v.a % p == 0:
-                raise DegeneracyError(p, f"second coordinate of {label}[{i}] vanishes")
+    where = f"degenerate witness at p = {p}"
     seen: dict[Vertex, str] = {}
     for label, vertices in (("A", w.A), ("B", w.B)):
         for i, v in enumerate(vertices):
             key = f"{label}[{i}]"
+            if v.a % p == 0:
+                raise DegeneracyError(f"{where}: second coordinate of {key} vanishes")
             if v in seen:
-                raise DegeneracyError(p, f"vertices {seen[v]} and {key} collide")
+                raise DegeneracyError(f"{where}: vertices {seen[v]} and {key} collide")
             seen[v] = key
 
 
@@ -290,8 +278,7 @@ def verify_witness(w: WitnessK46) -> WitnessReport:
         4a^3 + 2b^3 + 6b^2 + 6b + 2 = 6v
     """
     p = w.certificate.p
-    G = make_graph(p, 4, X3_MINUS_2)
-    biclique = G.verify_biclique(w.A, w.B)
+    biclique = witness_graph(w).verify_biclique(w.A, w.B)
 
     checked, identity_failures = 0, []
     for i, vert in enumerate(w.B):

@@ -194,6 +194,16 @@ class TestSieve:
             assert run("sieve", "--limit", 100, *flags, env=env).returncode == 0
         assert list(tmp_path.rglob("*")) == []
 
+    def test_pinned_csv_digest(self):
+        # every reason class occurs below 3000, the discriminants' at p = 2
+        # and 3, so a reworded reason changes the digest
+        r = run("sieve", "--limit", 3000, "--format", "csv")
+        assert r.returncode == 0
+        assert r.stdout.count("divides both discriminants") == 2
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "f6f08f269854f0cfb8e29ff34915971e0d81132ff58f8d9fa1b965449e3254e3"
+        )
+
     def test_jobs_do_not_change_bytes(self):
         outs = {
             run(
@@ -280,6 +290,20 @@ class TestWitness46:
         ]
         assert len(ordering_lines) == 6
         assert all("PASS, vertex set identical" in ln for ln in ordering_lines)
+
+    def test_all_orderings_compare_vertex_sets(self, monkeypatch, capsys):
+        # every ordering but the first builds p = 37's witness, which passes
+        # its checks with another vertex set
+        build, other = k46.build_witness, k46.is_qualifying_prime(37)
+
+        def mixed(cert, root_order=(0, 1, 2)):
+            return build(cert if root_order == (0, 1, 2) else other, root_order)
+
+        monkeypatch.setattr(k46, "build_witness", mixed)
+        assert cli.main(["witness46", "--all-orderings"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "root ordering (0, 1, 2): PASS, vertex set identical" in lines
+        assert "root ordering (2, 1, 0): PASS, vertex set DIFFERS" in lines
 
     def test_output_file_then_verify(self, tmp_path):
         out = tmp_path / "w.json"
@@ -443,6 +467,14 @@ class TestCensus:
         r = run("census", "--p", 3, "--t", 4, "--k", 2)
         assert r.returncode == 0
         assert "bound" not in r.stdout
+
+    def test_count_above_the_bound_is_violated(self, monkeypatch, capsys):
+        # a census that reports one more common neighbour than (t-1)! = 6
+        monkeypatch.setattr(
+            graph.NormGraph, "census_max_common", lambda G, k, **kw: (7, (0, 1, 2, 3))
+        )
+        assert cli.main(["census", "--p", "3", "--t", "4", "--k", "4"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "bound (t-1)! = 6: VIOLATED"
 
     def test_k_above_t_skips_bound(self, capsys):
         argv = ["census", "--p", "3", "--t", "3", "--k", "4"]
@@ -766,6 +798,18 @@ class TestVerify:
         assert len(failed) == 4
         assert all("B[3]" in ln and "constant term 0 vs 6" in ln for ln in failed)
 
+    def test_shifted_second_coordinate_fails_its_four_identities(self, tmp_path, capsys):
+        # v enters the four identities of a B vertex as 3v, 4v, 5v and 6v,
+        # and a shift by 1 leaves none of them fixed mod 7
+        def edit(data):
+            data["R"][0]["a"] = data["R"][0]["a"] % 6 + 1
+
+        code, lines = self.verify_edited(tmp_path, capsys, ["witness46", "--p", "7"], edit)
+        assert code == 1
+        assert "identity checks: 20/24 passed" in lines
+        failed = [ln for ln in lines if ln.startswith("  identity failed:")]
+        assert len(failed) == 4 and all("B[0]" in ln for ln in failed)
+
     def test_edited_second_coordinate_fails_its_identities(self, tmp_path, capsys):
         def edit(data):
             data["B"][0]["a"] = data["B"][0]["a"] % 16 + 1
@@ -922,6 +966,13 @@ class TestFailedCrossCheck:
         self.assert_one_line_exit(
             capsys, code, "internal check failed: norm mismatch: conjugate product "
         )
+
+    def test_witness46_with_roots_off_the_cubic(self, monkeypatch, capsys):
+        # c = 0, 1 and 6 give the three distinct values 0, 1 and 2 of
+        # -7 - 4c - 2c^2 mod 7, and the witness cubic's roots are 0, 2 and 5
+        monkeypatch.setattr(k46, "roots_in_base", lambda m, c, p: (0, 1, 6))
+        code = cli.main(["witness46"])
+        self.assert_one_line_exit(capsys, code, "witness cubic failed to split")
 
     def test_witness46(self, monkeypatch, capsys):
         # the cube roots of 1 in place of those of 6 mod 7

@@ -289,6 +289,15 @@ class TestNorm:
             c, b, a = el
             assert f.norm_det(el) == (c**3 + 2 * b**3 + 4 * a**3 - 6 * a * b * c) % 7
 
+    @pytest.mark.parametrize("route", ["norm_conj", "inv"])
+    def test_conjugate_product_must_land_in_the_base_field(self, monkeypatch, route):
+        # a conjugate product of 1 + x, outside F_p: norm_conj would read 1
+        # off it, and inv would scale it by 1^(-1)
+        f = f7_cubic()
+        monkeypatch.setattr(ExtField, "_times_conjugates", lambda field, acc, a: (1, 1, 0))
+        with pytest.raises(AssertionError, match="did not land in the base field"):
+            getattr(f, route)(f.one)
+
     def test_norm_multiplicative(self):
         f = f7_cubic()
         rng = random.Random(6)

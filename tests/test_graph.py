@@ -268,18 +268,26 @@ class TestBitsets:
         with pytest.raises(AssertionError, match=rf"bitsets disagree at vertex pair \({i}, {j}\)"):
             G._probe_symmetry(table)
 
-    def test_norm_table_routes_must_agree(self, monkeypatch):
+    @staticmethod
+    def corrupt_table(monkeypatch, route):
+        # P(3,4) with one norm route wrong at element 5 only
         G = make_graph(3, 4)
         bad = G.field.element_from_index(5)
-        norm_conj = ff.ExtField.norm_conj
+        norm = getattr(ff.ExtField, route)
 
         def corrupted(field, a):
-            n = norm_conj(field, a)
+            n = norm(field, a)
             return (n + 1) % field.p if a == bad else n
 
-        monkeypatch.setattr(ff.ExtField, "norm_conj", corrupted)
+        monkeypatch.setattr(ff.ExtField, route, corrupted)
         with pytest.raises(AssertionError, match="norm table mismatch at element 5"):
             G._all_bitsets()
+
+    def test_norm_table_routes_must_agree(self, monkeypatch):
+        self.corrupt_table(monkeypatch, "norm_conj")
+
+    def test_norm_table_takes_the_determinant_of_every_element(self, monkeypatch):
+        self.corrupt_table(monkeypatch, "norm_det")
 
 
 class TestBiclique:

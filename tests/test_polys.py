@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from normgraph import polys
 from normgraph.ff import ExtField
 from normgraph.general import shifted_poly
 from normgraph.graph import _smallest_irreducible
@@ -495,6 +496,15 @@ class TestRoots:
                             roots_in_base(m, c, p)
                     else:
                         assert roots_in_base(m, c, p) == scan, (m, c, p)
+
+    def test_each_root_checked_by_evaluation(self, monkeypatch):
+        # with no discrete-log digit taken, theta = 7 and its multiples by
+        # the cube roots of 1 are three distinct values mod 19 that cube to
+        # 7^3 = 1, not to 7
+        smooth = polys._smooth_subgroup
+        monkeypatch.setattr(polys, "_smooth_subgroup", lambda m, p: (*smooth(m, p)[:2], []))
+        with pytest.raises(AssertionError, match="did not split into 3 distinct roots"):
+            roots_in_base(3, 7, 19)
 
     def test_7710_roots_of_two_mod_131071(self):
         # 2 has order 17 mod 2^17 - 1 = 131071, and 131070 = 17 * 7710

@@ -1,9 +1,13 @@
 """Checks on the source text itself. pyproject.toml declares Python >= 3.10:
 no source, test or benchmark file may use syntax that only a later grammar
 accepts. No module in src/normgraph may import a name it does not use, and
-no function or method there may go unused by the package itself."""
+no function or method there may go unused by the package itself. Each
+one-line mutant that tests/mutants.json lists must apply at exactly one place
+in its file and name a test that exists. Each removes or weakens one check
+in src/, and its test fails once it is applied."""
 
 import ast
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +88,14 @@ def test_every_function_in_src_is_used():
         if not (bare := name.rpartition(".")[2]).startswith("__") and bare not in read | exported
     }
     assert unused == set(TEST_ONLY)
+
+
+def test_every_mutant_applies_at_one_place():
+    mutants = json.loads((ROOT / "tests" / "mutants.json").read_text())
+    assert len({m["id"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert list(m) == ["id", "file", "old", "new", "test"], m
+        assert m["old"] != m["new"], m["id"]
+        assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, m["id"]
+        path, *_, name = m["test"].split("::")
+        assert f"def {name.partition('[')[0]}(" in (ROOT / path).read_text(), m["id"]
