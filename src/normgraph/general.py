@@ -146,15 +146,22 @@ def verify_general_witness(w: GeneralWitness) -> WitnessReport:
     """Graph layer: every A-B pair adjacent in P(p,t) over f_1 - r.
     Identity layer: for c in {0, zeta^k} and every i,
     norm(c - alpha_i) = (f_i - r)(c) = theta_i - r = a_i, with (-alpha_i, a_i)
-    the stored B vertex; identity_checked counts the identities run."""
+    the stored B vertex; identity_checked counts the identities run.  These
+    hold at c = 0 and 1 for any zeta, so zeta must be the least element of
+    order t-2 and each A vertex a (c, 1), else ValueError; with the graph
+    layer's distinctness check, A is then the construction's set."""
     params = w.params
     t, p, r = params.t, params.p, params.r
+    if params.zeta != primitive_nth_root(t - 2, p):
+        raise ValueError(f"zeta = {params.zeta} is not the least element of order {t - 2} mod {p}")
     G = make_graph(p, t, shifted_poly(t, params.thetas[0], r, p))
     biclique = G.verify_biclique(w.A, w.B)
 
-    cs = [0] + [pow(params.zeta, k, p) for k in range(1, t - 1)]
-    checked, identity_failures = 0, []
     field = G.field
+    cs = [0] + [pow(params.zeta, k, p) for k in range(1, t - 1)]
+    if not set(w.A) <= {Vertex(field.from_base(c), 1) for c in cs}:
+        raise ValueError("A is not the construction's {(zeta^k, 1)} with (0, 1)")
+    checked, identity_failures = 0, []
     for i, vert in enumerate(w.B):
         h = shifted_poly(t, params.thetas[i], r, p)
         target = (params.thetas[i] - r) % p

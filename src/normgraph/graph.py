@@ -16,7 +16,7 @@ import struct
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
-from .parallel import chunk_ranges, run_tasks, worker_count
+from .parallel import run_tasks, worker_count
 from .polys import is_irreducible
 from .primes import PSI_12, is_prime
 
@@ -367,13 +367,12 @@ class NormGraph:
                 f"over the budget of {budget}; rerun with --sample"
             )
         bitsets = self._all_bitsets()
-        # each task pickles the whole table: cut for the workers, not --jobs
-        tasks = [
-            (bitsets, k, start, count)
-            for start, count in chunk_ranges(total, worker_count(jobs, total))
-        ]
-        # chunk order is colex order, and max keeps the first maximum
-        return max(run_tasks(_census_worker, tasks, jobs), key=lambda r: r[0])
+        # each task pickles the whole table, so one task per worker, not per
+        # --jobs; task i takes every workers-th largest member from k-1+i
+        workers = worker_count(jobs, self.n - k + 1)
+        tasks = [(bitsets, k, i, workers) for i in range(workers)]
+        # the largest count, then the colex-first of the tasks' subsets
+        return min(run_tasks(_census_search, tasks, jobs), key=lambda r: (-r[0], r[1][::-1]))
 
     def sample_max_common(
         self,
@@ -504,56 +503,38 @@ def _subset_census(bitsets: list[int], subset: tuple[int, ...]) -> int:
     return inter.bit_count()
 
 
-def _colex_unrank(rank: int, k: int) -> list[int]:
-    out = []
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= rank:
-            c += 1
-        out.append(c)
-        rank -= math.comb(c, i)
-    out.reverse()
-    return out
-
-
-def _census_worker(task) -> tuple[int, tuple[int, ...]]:
-    """Max |common neighbourhood| over `count` >= 1 k-subsets in colex order
-    from rank `start`, with the colex-first maximizing subset.  No bitset may
-    hold its own bit: then the AND over a subset S already excludes every
-    member of S.
-
-    Colex order changes subset[0] fastest: it climbs to subset[1] - 1 while
-    the rest stays fixed.  So the suffix intersections suffix[j] =
-    AND(bitsets[subset[j:]]) are kept, only those the successor step changed
-    are rebuilt, and each subset of a climb costs one AND and one bit_count."""
-    bitsets, k, start, count = task
-    subset = _colex_unrank(start, k)
-    suffix = [-1] * (k + 1)  # suffix[k] = -1 has every bit set
-    stale = k - 1  # suffix[1..stale] are out of date
+def _census_search(task) -> tuple[int, tuple[int, ...]]:
+    """Max |common neighbourhood| over the k-subsets whose largest member is
+    k-1+i, k-1+i+step, ..., with the colex-first maximizing subset: a
+    depth-first walk in colex order, largest member outermost, that does not
+    extend a prefix whose AND has no more bits than the best so far.  The
+    smallest member climbs in one list, one AND and one bit_count a subset.
+    No bitset may hold its own bit, so the AND already excludes the subset.
+    Open levels are kept in a list, not on the call stack: k may be large."""
+    bitsets, k, i, step = task
     best, best_subset = -1, ()
+    members, inter = [], -1  # the prefix, largest first; -1 has every bit
+    span = range(k - 1 + i, len(bitsets), step)  # where the next member lies
+    levels = []  # per open level: its members left and the AND above it
     while True:
-        for j in range(stale, 0, -1):
-            suffix[j] = bitsets[subset[j]] & suffix[j + 1]
-        lo = subset[0]
-        hi = lo + count if k == 1 else min(subset[1], lo + count)
-        sizes = [(b & suffix[1]).bit_count() for b in bitsets[lo:hi]]
-        top = max(sizes)
-        if top > best:
-            subset[0] = lo + sizes.index(top)
-            best, best_subset = top, tuple(subset)
-        count -= hi - lo
-        if not count:  # before the step: a last subset's successor may pass n
+        if len(members) < k - 1:
+            levels.append((iter(span), inter))
+        else:
+            sizes = [(b & inter).bit_count() for b in bitsets[span.start:span.stop:span.step]]
+            top = max(sizes)
+            if top > best:
+                best, best_subset = top, (span[sizes.index(top)], *reversed(members))
+        while levels:  # the next prefix worth extending
+            todo, above = levels[-1]
+            member = next(todo, None)
+            if member is None:
+                levels.pop()
+            elif (inter := above & bitsets[member]).bit_count() > best:
+                break
+        else:
             return best, best_subset
-        # colex successor of the climb's last subset, where subset[0] + 1
-        # == subset[1], so i >= 1
-        subset[0] = hi - 1
-        i = 0
-        while i < k - 1 and subset[i] + 1 == subset[i + 1]:
-            i += 1
-        subset[i] += 1
-        for j in range(i):
-            subset[j] = j
-        stale = i
+        members[len(levels) - 1:] = [member]
+        span = range(k - 1 - len(members), member)
 
 
 # -- witness serialization ---------------------------------------------------

@@ -27,29 +27,12 @@ def worker_count(jobs: int, total: int) -> int:
 
 def run_tasks(fn, tasks: list, jobs: int) -> list:
     """fn over tasks, in order, serially unless worker_count(jobs, len(tasks))
-    is above 1.  Then a process pool starts that many workers and receives
-    the tasks in the pieces that chunk_ranges cuts for that many."""
+    is above 1.  Then a pool of that many workers takes the tasks in pieces
+    of ceil(len / (4 * workers)), so that uneven pieces keep each one busy."""
     count = worker_count(jobs, len(tasks))
     if count <= 1:
         return [fn(t) for t in tasks]
-    chunksize = chunk_ranges(len(tasks), count)[0][1]
+    chunksize = -(-len(tasks) // (4 * count))
     pool_cls = sys.modules[__name__].ProcessPoolExecutor  # honours a class set on the module
     with pool_cls(max_workers=count) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
-
-
-def chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(total) into contiguous (start, count) pieces covering
-    everything in order: one piece for one worker, else at most 4 per worker
-    (see worker_count), so that uneven pieces still keep every worker busy."""
-    if total <= 0:
-        return []
-    parts = 1 if workers <= 1 else min(workers * 4, total)
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        count = base + (1 if i < extra else 0)
-        out.append((start, count))
-        start += count
-    return out

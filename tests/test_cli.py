@@ -476,6 +476,16 @@ class TestCensus:
         assert cli.main(["census", "--p", "3", "--t", "4", "--k", "4"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "bound (t-1)! = 6: VIOLATED"
 
+    def test_count_above_the_bound_above_t_is_an_internal_fault(self, monkeypatch, capsys):
+        # N(S) lies in the common neighbourhood of each 4-subset of S
+        monkeypatch.setattr(
+            graph.NormGraph, "census_max_common", lambda G, k, **kw: (7, (0, 1, 2, 3, 4))
+        )
+        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "5"])
+        TestFailedCrossCheck.assert_one_line_exit(
+            capsys, code, "5-subset has 7 common neighbours, over (t-1)! = 6"
+        )
+
     def test_k_above_t_skips_bound(self, capsys):
         argv = ["census", "--p", "3", "--t", "3", "--k", "4"]
         assert cli.main(argv) == 0
@@ -783,6 +793,34 @@ class TestVerify:
             "adjacency checks: 6/6 passed",
             "identity checks: 6/6 passed",
             "  left side has duplicate vertices",
+            "result: FAIL",
+        ]
+
+    # zeta = 16 at p = 17; at c = 0 and 1 every identity holds for any zeta
+    @pytest.mark.parametrize("zeta", [0, 1, 3])
+    def test_edited_zeta_fails(self, tmp_path, capsys, zeta):
+        def edit(data):
+            assert (data["p"], data["zeta"]) == (17, 16)
+            data["zeta"] = zeta
+
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "1000"]
+        code, lines = self.verify_edited(tmp_path, capsys, argv, edit)
+        assert code == 1
+        assert lines == [
+            f"witness invalid: zeta = {zeta} is not the least element of order 2 mod 17",
+            "result: FAIL",
+        ]
+
+    def test_edited_left_vertex_fails(self, tmp_path, capsys):
+        def edit(data):
+            assert data["A"][0] == {"alpha": [16, 0, 0], "a": 1}
+            data["A"][0]["alpha"] = [3, 0, 0]
+
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "1000"]
+        code, lines = self.verify_edited(tmp_path, capsys, argv, edit)
+        assert code == 1
+        assert lines == [
+            "witness invalid: A is not the construction's {(zeta^k, 1)} with (0, 1)",
             "result: FAIL",
         ]
 

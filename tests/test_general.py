@@ -231,6 +231,19 @@ class TestVerifyWitness:
         report = verify_general_witness(w)
         assert not report.passed
 
+    def test_identities_catch_a_zeta_that_passed_its_check(self, monkeypatch):
+        # zeta = 3 with A rebuilt around it, and the least-root check fooled:
+        # at c = 3 and 9, c^3 - c != 0 mod 17, so h_i(c) != theta_i - r
+        w = self.build_17_9()
+        A = [Vertex(w.field.from_base(c), 1) for c in (3, 9)] + [Vertex(w.field.zero, 1)]
+        w = w._replace(params=w.params._replace(zeta=3), A=A)
+        monkeypatch.setattr(general, "primitive_nth_root", lambda n, p: 3)
+        report = verify_general_witness(w)
+        assert report.identity_checked == 6
+        assert [msg.split(":")[0] for msg in report.identity_failures] == [
+            f"identity fails for B[{i}] at c = {c}" for i in (0, 1) for c in (3, 9)
+        ]
+
 
 class TestSerialization:
     def make(self):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import random
 import tracemalloc
 
@@ -11,14 +12,12 @@ from normgraph import ff, graph
 from normgraph.graph import (
     NormGraph,
     Vertex,
-    _colex_unrank,
-    _census_worker,
+    _census_search,
     check_vertices,
     make_graph,
     vertex_to_obj,
     witness_to_json,
 )
-from normgraph.parallel import chunk_ranges
 
 
 def p74():
@@ -477,59 +476,82 @@ class TestDrawSubsets:
         assert [list(subset) for subset in got] == want
 
 
-class TestColex:
-    def test_unrank_matches_enumeration(self):
-        n, k = 6, 3
-        subsets = sorted(
-            itertools.combinations(range(n), k),
-            key=lambda s: sum(1 << x for x in reversed(s)),
-        )
-        # colex order sorts by largest element, then next, and so on
-        subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
-        for r, s in enumerate(subsets):
-            assert tuple(_colex_unrank(r, k)) == s
+def colex_first_max(bitsets, k):
+    """The oracle: the largest |N(S)| over every k-subset, by brute force, with
+    the first maximizing subset in colex order, which compares reversed
+    tuples."""
+    best, best_subset = -1, ()
+    for subset in itertools.combinations(range(len(bitsets)), k):
+        size = functools.reduce(operator.and_, map(bitsets.__getitem__, subset))
+        size = size.bit_count()
+        if size > best or (size == best and subset[::-1] < best_subset[::-1]):
+            best, best_subset = size, subset
+    return best, best_subset
 
+
+@pytest.fixture
+def tasks_in_process(monkeypatch):
+    """run_tasks mapped in process, and as many CPUs as --jobs asks for: the
+    tasks, not the processes, decide the merge.  Returns the task lists."""
+    mapped = []
+
+    def run_tasks(fn, tasks, jobs):
+        mapped.append(tasks)
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(graph, "run_tasks", run_tasks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return mapped
+
+
+class TestColex:
     def test_worker_covers_range(self):
         # a fake graph where every "bitset" is the same: counts are constant,
-        # so the worker must return the colex-first subset
+        # so the search must return the colex-first subset
         bitsets = [0b1111] * 4
-        best, subset = _census_worker((bitsets, 2, 0, 6))
-        assert subset == (0, 1)
+        assert _census_search((bitsets, 2, 0, 1)) == (4, (0, 1))
 
-    def test_split_ranges_cover_everything(self):
-        # two half-ranges must see the same subsets as one full range
-        bitsets = [(1 << i) | 1 for i in range(5)]
-        full = _census_worker((bitsets, 2, 0, 10))
-        a = _census_worker((bitsets, 2, 0, 5))
-        b = _census_worker((bitsets, 2, 5, 5))
-        merged = a if a[0] >= b[0] else b
-        assert full == merged
-
-    @pytest.mark.parametrize(
-        "p, t, k", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3)]
-    )
-    def test_worker_matches_brute_force(self, p, t, k):
-        G = make_graph(p, t)
-        bitsets = G._all_bitsets()
-        best, best_subset = -1, ()
-        for subset in itertools.combinations(range(G.n), k):
-            size = functools.reduce(operator.and_, map(bitsets.__getitem__, subset))
-            size = size.bit_count()
-            # the first maximum in colex order, which compares reversed tuples
-            if size > best or (size == best and subset[::-1] < best_subset[::-1]):
-                best, best_subset = size, subset
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_equal_table_at_every_jobs(self, tasks_in_process, k):
+        G = make_graph(3, 3)
+        G._bitsets = [0b111] * G.n
+        want = colex_first_max(G._bitsets, k)
+        assert want == (3, tuple(range(k)))
         for jobs in (1, 2, 3, 4):
-            results = [
-                _census_worker((bitsets, k, start, count))
-                for start, count in chunk_ranges(math.comb(G.n, k), jobs)
-            ]
-            assert max(results, key=lambda r: r[0]) == (best, best_subset), jobs
+            assert G.census_max_common(k, jobs=jobs) == want, jobs
+            assert len(tasks_in_process[-1]) == jobs
+
+    # P(3,4) at k >= 3, P(5,3) at k = 3 and P(3,3) at k = 4 prune prefixes
+    @pytest.mark.parametrize(
+        "p, t, k",
+        [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3), (3, 3, 4), (2, 5, 3), (5, 3, 2)],
+    )
+    def test_worker_matches_brute_force(self, tasks_in_process, p, t, k):
+        G = make_graph(p, t)
+        want = colex_first_max(G._all_bitsets(), k)
+        for jobs in (1, 2, 3, 4):
+            assert G.census_max_common(k, jobs=jobs) == want, jobs
+
+    def test_pruned_prefixes_are_not_climbed(self):
+        # P(3,3) at k = 4: without the prune the smallest member would climb
+        # once below every 3-subset of ids 1..17
+        class Counted(list):
+            climbs = 0
+
+            def __getitem__(self, index):
+                Counted.climbs += isinstance(index, slice)
+                return super().__getitem__(index)
+
+        G = make_graph(3, 3)
+        bitsets = Counted(G._all_bitsets())
+        assert _census_search((bitsets, 4, 0, 1)) == colex_first_max(bitsets, 4)
+        assert 0 < Counted.climbs < math.comb(G.n - 1, 3)
 
     @pytest.mark.parametrize("p, t, k", [(3, 3, 2), (3, 3, 3), (5, 3, 2)])
     def test_chunked_census_keeps_colex_first_argmax(self, monkeypatch, p, t, k):
         G = make_graph(p, t)
         serial = G.census_max_common(k)
-        # a serial map in place of the pool: the chunks, not the processes,
+        # a serial map in place of the pool: the tasks, not the processes,
         # decide the merge
         monkeypatch.setattr(graph, "run_tasks", lambda fn, tasks, jobs: [fn(t) for t in tasks])
         assert G.census_max_common(k, jobs=3) == serial

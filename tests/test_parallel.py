@@ -1,4 +1,4 @@
-"""The process-pool helper: its worker clamp, its chunking rule, and which
+"""The process-pool helper: its worker clamp, its chunk size, and which
 commands start a pool at all."""
 
 import os
@@ -9,7 +9,7 @@ import pytest
 
 import normgraph
 from normgraph import cli, graph, parallel
-from normgraph.graph import _census_worker
+from normgraph.graph import _census_search
 
 
 @pytest.fixture
@@ -49,23 +49,14 @@ def test_workers_clamped_to_tasks_and_cpus(monkeypatch, pools):
 
 @pytest.mark.parametrize("total, jobs", [(100, 3), (17984, 2), (5, 3), (9, 2)])
 def test_chunksize_follows_chunk_ranges(monkeypatch, pools, total, jobs):
+    # pieces of ceil(total / (4 * workers)): at most 4 per worker, and one
+    # task each when there are fewer tasks than that
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # so the worker count is jobs
     tasks = list(range(total))
     assert parallel.run_tasks(abs, tasks, jobs) == tasks
-    pieces = parallel.chunk_ranges(total, jobs)
     chunksize = pools[-1][1]
-    assert chunksize == max(c for _, c in pieces)
-    assert -(-total // chunksize) <= len(pieces) <= jobs * 4
-
-
-def test_chunks_follow_jobs():
-    assert parallel.chunk_ranges(100, 1) == [(0, 100)]
-    assert parallel.chunk_ranges(0, 3) == []
-    pieces = parallel.chunk_ranges(100, 3)
-    assert len(pieces) == 12
-    assert [s for s, _ in pieces] == [sum(c for _, c in pieces[:i]) for i in range(12)]
-    assert sum(c for _, c in pieces) == 100
-    assert parallel.chunk_ranges(5, 3) == [(i, 1) for i in range(5)]
+    assert chunksize == -(-total // (4 * jobs))
+    assert -(-total // chunksize) <= min(total, jobs * 4)
 
 
 def test_census_cuts_its_tasks_for_the_workers_not_the_jobs(monkeypatch, pools, capsys):
@@ -75,14 +66,15 @@ def test_census_cuts_its_tasks_for_the_workers_not_the_jobs(monkeypatch, pools, 
 
     def worker(task):
         mapped.append(task)
-        return _census_worker(task)
+        return _census_search(task)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(graph, "_census_worker", worker)
+    monkeypatch.setattr(graph, "_census_search", worker)
     argv = ["census", "--p", "3", "--t", "4", "--k", "2"]
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
     assert pools == [[2, 1]]
-    assert 1 < len(mapped) <= 8
+    # worker_count(10**6, 53) = 2 tasks, task i from largest member 1 + i
+    assert [task[2:] for task in mapped] == [(0, 2), (1, 2)]
     many = capsys.readouterr().out
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == many

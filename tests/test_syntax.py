@@ -4,7 +4,9 @@ accepts. No module in src/normgraph may import a name it does not use, and
 no function or method there may go unused by the package itself. Each
 one-line mutant that tests/mutants.json lists must apply at exactly one place
 in its file and name a test that exists. Each removes or weakens one check
-in src/, and its test fails once it is applied."""
+in src/, and its test fails once it is applied. Each one-line mutant listed
+as equivalent applies at one place too, with the reason it changes no
+output."""
 
 import ast
 import json
@@ -88,6 +90,26 @@ def test_every_function_in_src_is_used():
         if not (bare := name.rpartition(".")[2]).startswith("__") and bare not in read | exported
     }
     assert unused == set(TEST_ONLY)
+
+
+# one-line mutants that change no output, each with the reason
+EQUIVALENT_MUTANTS = [
+    {
+        "id": "graph-search-prune-keeps-ties",
+        "file": "src/normgraph/graph.py",
+        "old": ").bit_count() > best:",
+        "new": ").bit_count() >= best:",
+        "reason": "it only prunes less: a prefix with as many bits as the best can at most "
+        "tie it, and a tie found later in colex order never replaces the best",
+    },
+]
+
+
+def test_every_equivalent_mutant_applies_at_one_place():
+    for m in EQUIVALENT_MUTANTS:
+        assert list(m) == ["id", "file", "old", "new", "reason"], m
+        assert m["old"] != m["new"], m["id"]
+        assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, m["id"]
 
 
 def test_every_mutant_applies_at_one_place():
