@@ -346,6 +346,54 @@ class NormGraph:
         )
         return BicliqueWitness(left=list(L), right=list(R), report=report)
 
+    # -- scaling orbits ------------------------------------------------------
+
+    def _orbit_keys(self) -> list[int]:
+        """Per vertex id, its class under the scalings (alpha, a) ->
+        (lambda alpha, mu a) with mu^2 = N(lambda), automorphisms because N
+        is multiplicative: 0 for alpha = 0, else a^2 / N(alpha), from the
+        checked norm table.  Each class is one orbit: lambda = beta / alpha
+        and mu = b / a take (alpha, a) to any (beta, b) of its class."""
+        p = self.p
+        squares = [a * a % p for a in range(1, p)]
+        invs = [fp_inv(v, p) if v else 0 for v in self._norm_table()]
+        return [s * inv % p for inv in invs for s in squares]
+
+    def _orbit_representatives(self) -> list[int]:
+        """The first id of each class of _orbit_keys(), in key order, so
+        vertex 0 = (0, 1) first; the classes must be the alpha = 0 one of
+        size p-1 and one of size q'-1 for each key in F_p^*."""
+        keys, p = self._orbit_keys(), self.p
+        sizes = [keys.count(key) for key in range(p)]
+        if sizes != [p - 1] + [self.qprime - 1] * (p - 1):
+            raise AssertionError(
+                f"scaling orbits of keys 0..{p - 1} have sizes {sizes}, "
+                f"not {p - 1} and then {self.qprime - 1}"
+            )
+        return [keys.index(key) for key in range(p)]
+
+    def _checked_by_norms(self, best: int, subset: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """(best, subset) once |N(subset)|, counted from the norm table with
+        no bitset, is best: each member (alpha, a) meets (beta, N(alpha +
+        beta) / a) for every beta with N(alpha + beta) != 0, and the members
+        themselves are dropped."""
+        p, field, norms = self.p, self.field, self._norm_table()
+        common = set(range(self.n))
+        for s in subset:
+            alpha, a = self.vertex_from_id(s)
+            inv = fp_inv(a, p)
+            common &= {
+                j * (p - 1) + v * inv % p - 1
+                for j, beta in enumerate(field.elements())
+                if (v := norms[field.index(field.add(alpha, beta))])
+            }
+        count = len(common - set(subset))
+        if count != best:
+            raise AssertionError(
+                f"the norm route counts {count} common neighbours of {subset}, not {best}"
+            )
+        return best, subset
+
     # -- censuses ------------------------------------------------------------
 
     def _require_subset_size(self, k: int) -> None:
@@ -358,7 +406,12 @@ class NormGraph:
         """Exhaustive max of |common neighborhood| over all k-subsets.
 
         Returns (max size, the colex-first maximizing subset as vertex ids).
-        Refuses when C(n, k) exceeds the budget."""
+        Refuses when C(n, k) exceeds the budget.  The scalings are
+        automorphisms with p vertex orbits, so some maximizing subset holds
+        one of the p representatives: phase 1 searches the k-subsets through
+        each, one task per worker; phase 2 runs the colex search over all
+        k-subsets from a best of max - 1 and stops at its first hit, the
+        colex-first maximizer."""
         self._require_subset_size(k)
         total = math.comb(self.n, k)
         if total > budget:
@@ -367,12 +420,19 @@ class NormGraph:
                 f"over the budget of {budget}; rerun with --sample"
             )
         bitsets = self._all_bitsets()
+        reps = self._orbit_representatives()
         # each task pickles the whole table, so one task per worker, not per
-        # --jobs; task i takes every workers-th largest member from k-1+i
-        workers = worker_count(jobs, self.n - k + 1)
-        tasks = [(bitsets, k, i, workers) for i in range(workers)]
-        # the largest count, then the colex-first of the tasks' subsets
-        return min(run_tasks(_census_search, tasks, jobs), key=lambda r: (-r[0], r[1][::-1]))
+        # --jobs; task i takes every workers-th representative from the i-th
+        workers = worker_count(jobs, len(reps))
+        tasks = [(bitsets, k, reps[i::workers]) for i in range(workers)]
+        best = max(run_tasks(_orbit_search, tasks, jobs))
+        reached, subset = _census_search(bitsets, k, best=best - 1, first=True)
+        if reached != best:
+            raise AssertionError(
+                f"the colex search reached {reached} common neighbours, "
+                f"the orbit search {best}"
+            )
+        return self._checked_by_norms(best, subset)
 
     def sample_max_common(
         self,
@@ -391,7 +451,8 @@ class NormGraph:
         0.02 s; only one process can read the stream in order, so a pool
         could share just the count, and starting one costs about 0.01 s.
         Refuses more trials than the budget, k above MAX_COMMON_QUERY, and a
-        planted subset that is not a k-subset, before any work."""
+        planted subset that is not a k-subset, before any work.  The norm
+        route recounts the maximum for the subset returned."""
         if trials < 1:
             raise ValueError("trials must be >= 1")
         if trials > budget:
@@ -414,7 +475,7 @@ class NormGraph:
             size = _subset_census(bitsets, subset)
             if size > best:  # a drawn subset is in draw order until it leads
                 best, best_subset = size, tuple(sorted(subset))
-        return best, best_subset
+        return self._checked_by_norms(best, best_subset)
 
     # -- export -----------------------------------------------------------
 
@@ -503,27 +564,47 @@ def _subset_census(bitsets: list[int], subset: tuple[int, ...]) -> int:
     return inter.bit_count()
 
 
-def _census_search(task) -> tuple[int, tuple[int, ...]]:
-    """Max |common neighbourhood| over the k-subsets whose largest member is
-    k-1+i, k-1+i+step, ..., with the colex-first maximizing subset: a
-    depth-first walk in colex order, largest member outermost, that does not
-    extend a prefix whose AND has no more bits than the best so far.  The
-    smallest member climbs in one list, one AND and one bit_count a subset.
-    No bitset may hold its own bit, so the AND already excludes the subset.
-    Open levels are kept in a list, not on the call stack: k may be large."""
-    bitsets, k, i, step = task
-    best, best_subset = -1, ()
-    members, inter = [], -1  # the prefix, largest first; -1 has every bit
-    span = range(k - 1 + i, len(bitsets), step)  # where the next member lies
+def _orbit_search(task) -> int:
+    """The largest |N(S)| over the k-subsets S that hold one of reps: each
+    representative's bitset starts the prefix AND of a search over the other
+    n-1 bitsets at k-1, whose best carries over to the next."""
+    bitsets, k, reps = task
+    best = -1
+    for r in reps:
+        if k == 1:
+            best = max(best, bitsets[r].bit_count())
+        else:
+            others = bitsets[:r] + bitsets[r + 1:]
+            best = _census_search(others, k - 1, bitsets[r], best)[0]
+    return best
+
+
+def _census_search(
+    bitsets: list[int], k: int, inter: int = -1, best: int = -1, first: bool = False
+) -> tuple[int, tuple[int, ...]]:
+    """Max |common neighbourhood| over the k-subsets of ids into bitsets,
+    each ANDed with inter too (-1 has every bit), with the colex-first
+    maximizing subset, or (best, ()) when none beats best: a depth-first walk
+    in colex order, largest member outermost, that does not extend a prefix
+    whose AND has no more bits than the best so far.  The smallest member
+    climbs in one list, one AND and one bit_count a subset.  With first set
+    it returns at the first subset that beats best.  No bitset may hold its
+    own bit, so the AND already excludes the subset.  Open levels are kept
+    in a list, not on the call stack: k may be large."""
+    best_subset = ()
+    members = []  # the prefix, largest first
+    span = range(k - 1, len(bitsets))  # where the next member lies
     levels = []  # per open level: its members left and the AND above it
     while True:
         if len(members) < k - 1:
             levels.append((iter(span), inter))
         else:
-            sizes = [(b & inter).bit_count() for b in bitsets[span.start:span.stop:span.step]]
+            sizes = [(b & inter).bit_count() for b in bitsets[span.start:span.stop]]
             top = max(sizes)
             if top > best:
                 best, best_subset = top, (span[sizes.index(top)], *reversed(members))
+                if first:
+                    return best, best_subset
         while levels:  # the next prefix worth extending
             todo, above = levels[-1]
             member = next(todo, None)

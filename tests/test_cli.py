@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, formats, determinism."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -522,6 +523,31 @@ class TestCensus:
         }
         assert len(outs) == 1
 
+    def test_pinned_matrix_digest_at_every_jobs(self, monkeypatch, capsys):
+        # stdout, stderr and exit codes of 162 exhaustive censuses and
+        # refusals, text and JSON at --jobs 1, 2 and 8, as the colex search
+        # over all k-subsets printed them; tasks map in process, cut for as
+        # many workers as --jobs asks, and each graph is built once
+        cases = (
+            [(2, 5, k) for k in range(1, 6)] + [(3, 3, k) for k in range(1, 5)]
+            + [(3, 4, k) for k in range(1, 6)] + [(5, 3, k) for k in range(2, 5)]
+            + [(3, 5, 2), (3, 5, 3), (5, 4, 2), (7, 4, 1), (7, 4, 2), (7, 3, 3), (13, 4, 1)]
+            + [(3, 5, 4), (5, 4, 3), (7, 4, 3)]  # over the default budget
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(graph, "run_tasks", lambda fn, tasks, jobs: [fn(t) for t in tasks])
+        monkeypatch.setattr(cli, "make_graph", functools.lru_cache(maxsize=1)(make_graph))
+        digest = hashlib.sha256()
+        for (p, t, k), fmt, jobs in itertools.product(cases, ("text", "json"), ("1", "2", "8")):
+            argv = ["census", "--p", str(p), "--t", str(t), "--k", str(k),
+                    "--format", fmt, "--jobs", jobs]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+        assert digest.hexdigest() == (
+            "c73d282abdc0848ae30de2de09db4c03c6e196db0fe8550cfb4724233a825ca3"
+        )
+
     def test_sample_seed_changes_draws(self):
         a = run(
             "census", "--p", 3, "--t", 3, "--k", 3, "--sample", "--trials", 50,
@@ -985,6 +1011,42 @@ class TestFailedCrossCheck:
         code = cli.main(["export", "--p", "3", "--t", "4", "--output", str(out)])
         self.assert_one_line_exit(capsys, code, "688 edges, not half the degree sum 1378")
         assert not out.exists()
+
+    def test_census_with_wrong_orbit_sizes(self, monkeypatch, capsys):
+        # vertex 0 = (0, 1) moved from the alpha = 0 class to key 1
+        keys = graph.NormGraph._orbit_keys
+        monkeypatch.setattr(graph.NormGraph, "_orbit_keys", lambda G: [1, *keys(G)[1:]])
+        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "2"])
+        self.assert_one_line_exit(
+            capsys, code, "scaling orbits of keys 0..2 have sizes [1, 27, 26], not 2 and then 26"
+        )
+
+    def test_census_with_a_missed_orbit(self, monkeypatch, capsys):
+        # only the class of key N(2) = 2, the looped vertices of degree
+        # q'-2 = 25; the other classes reach q'-1 = 26
+        reps = graph.NormGraph._orbit_representatives
+        monkeypatch.setattr(graph.NormGraph, "_orbit_representatives", lambda G: reps(G)[2:])
+        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "1"])
+        self.assert_one_line_exit(
+            capsys, code, "the colex search reached 26 common neighbours, the orbit search 25"
+        )
+
+    @pytest.mark.parametrize(
+        "mode", [[], ["--sample", "--trials", "200"]], ids=["exhaustive", "sampled"]
+    )
+    def test_census_with_a_bit_flipped_after_the_probes(self, monkeypatch, capsys, mode):
+        # vertex 0 = (0, 1) gains vertex 1 = (0, 2), no neighbour as N(0) = 0
+        probe = graph.NormGraph._probe_symmetry
+
+        def probe_then_flip(G, bitsets):
+            probe(G, bitsets)
+            bitsets[0] |= 1 << 1
+
+        monkeypatch.setattr(graph.NormGraph, "_probe_symmetry", probe_then_flip)
+        code = cli.main(["census", "--p", "3", "--t", "3", "--k", "1", *mode])
+        self.assert_one_line_exit(
+            capsys, code, "the norm route counts 8 common neighbours of (0,), not 9"
+        )
 
     def test_sieve_with_a_lying_residue_route(self, monkeypatch, capsys):
         # the residue route calls 2 a cube mod 37, a qualifying prime

@@ -509,22 +509,26 @@ class TestColex:
         # a fake graph where every "bitset" is the same: counts are constant,
         # so the search must return the colex-first subset
         bitsets = [0b1111] * 4
-        assert _census_search((bitsets, 2, 0, 1)) == (4, (0, 1))
+        assert _census_search(bitsets, 2) == (4, (0, 1))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_all_equal_table_at_every_jobs(self, tasks_in_process, k):
+    def test_all_equal_table_at_every_jobs(self, monkeypatch, tasks_in_process, k):
         G = make_graph(3, 3)
         G._bitsets = [0b111] * G.n
+        # no norm table has this table's counts
+        monkeypatch.setattr(NormGraph, "_checked_by_norms", lambda graph, *result: result)
         want = colex_first_max(G._bitsets, k)
         assert want == (3, tuple(range(k)))
         for jobs in (1, 2, 3, 4):
             assert G.census_max_common(k, jobs=jobs) == want, jobs
-            assert len(tasks_in_process[-1]) == jobs
+            # one task per worker, and no more workers than the p orbits
+            assert len(tasks_in_process[-1]) == min(jobs, 3)
 
     # P(3,4) at k >= 3, P(5,3) at k = 3 and P(3,3) at k = 4 prune prefixes
     @pytest.mark.parametrize(
         "p, t, k",
-        [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3), (3, 3, 4), (2, 5, 3), (5, 3, 2)],
+        [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3), (3, 3, 4), (2, 5, 3), (5, 3, 2),
+         (5, 3, 4), (3, 4, 5), (2, 5, 5)],
     )
     def test_worker_matches_brute_force(self, tasks_in_process, p, t, k):
         G = make_graph(p, t)
@@ -544,7 +548,7 @@ class TestColex:
 
         G = make_graph(3, 3)
         bitsets = Counted(G._all_bitsets())
-        assert _census_search((bitsets, 4, 0, 1)) == colex_first_max(bitsets, 4)
+        assert _census_search(bitsets, 4) == colex_first_max(bitsets, 4)
         assert 0 < Counted.climbs < math.comb(G.n - 1, 3)
 
     @pytest.mark.parametrize("p, t, k", [(3, 3, 2), (3, 3, 3), (5, 3, 2)])
@@ -555,6 +559,61 @@ class TestColex:
         # decide the merge
         monkeypatch.setattr(graph, "run_tasks", lambda fn, tasks, jobs: [fn(t) for t in tasks])
         assert G.census_max_common(k, jobs=3) == serial
+
+
+def scalings(G):
+    """Every scaling (alpha, a) -> (lambda alpha, mu a) with mu^2 = N(lambda),
+    N by both routes, as a list mapping each vertex id to its image."""
+    p, field = G.p, G.field
+    out = []
+    for lam in itertools.islice(field.elements(), 1, None):
+        for mu in range(1, p):
+            if mu * mu % p == field.norm(lam):
+                out.append([
+                    G.vertex_id(Vertex(field.mul(lam, alpha), mu * a % p))
+                    for alpha, a in vertices(G)
+                ])
+    return out
+
+
+class TestOrbits:
+    """The scalings, automorphisms of P(p,t), and the p classes of
+    _orbit_keys(), whose representatives start every exhaustive census."""
+
+    @pytest.mark.parametrize("p, t", [(2, 5), (3, 4), (5, 3), (3, 5)])
+    def test_scalings_map_the_table_onto_itself(self, p, t):
+        # N(sigma u) = sigma N(u) for every u: bit(u, v) == bit(sigma u, sigma v)
+        G = make_graph(p, t)
+        table = G._all_bitsets()
+        maps = scalings(G)
+        assert len(maps) == G.qprime - 1
+        for sigma in random.Random(p * 10 + t).sample(maps, min(50, len(maps))):
+            assert sorted(sigma) == list(range(G.n))
+            for u, bits in enumerate(table):
+                assert table[sigma[u]] == sum(1 << sigma[v] for v in graph._iter_bits(bits)), u
+
+    @pytest.mark.parametrize("p, t", [(2, 5), (3, 4), (5, 3), (3, 5)])
+    def test_classes_are_the_scaling_orbits(self, p, t):
+        G = make_graph(p, t)
+        keys, reps = G._orbit_keys(), G._orbit_representatives()
+        maps = scalings(G)
+        assert len(reps) == p and reps[0] == 0
+        orbits = [{sigma[r] for sigma in maps} for r in reps]
+        for r, orbit in zip(reps, orbits):
+            assert orbit == {v for v in range(G.n) if keys[v] == keys[r]}, r
+        assert sorted(map(len, orbits)) == [p - 1] + [G.qprime - 1] * (p - 1)
+        assert set().union(*orbits) == set(range(G.n))
+
+    def test_norm_route_counts_common_neighbors(self):
+        G = make_graph(3, 4)
+        rng = random.Random(0)
+        for k in (1, 2, 3, 4):
+            for _ in range(20):
+                subset = tuple(sorted(rng.sample(range(G.n), k)))
+                want = len(G.common_neighbors([G.vertex_from_id(i) for i in subset]))
+                assert G._checked_by_norms(want, subset) == (want, subset)
+                with pytest.raises(AssertionError, match="the norm route counts"):
+                    G._checked_by_norms(want + 1, subset)
 
 
 class TestExport:

@@ -9,7 +9,7 @@ import pytest
 
 import normgraph
 from normgraph import cli, graph, parallel
-from normgraph.graph import _census_search
+from normgraph.graph import _orbit_search
 
 
 @pytest.fixture
@@ -66,15 +66,16 @@ def test_census_cuts_its_tasks_for_the_workers_not_the_jobs(monkeypatch, pools, 
 
     def worker(task):
         mapped.append(task)
-        return _census_search(task)
+        return _orbit_search(task)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(graph, "_census_search", worker)
+    monkeypatch.setattr(graph, "_orbit_search", worker)
     argv = ["census", "--p", "3", "--t", "4", "--k", "2"]
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
     assert pools == [[2, 1]]
-    # worker_count(10**6, 53) = 2 tasks, task i from largest member 1 + i
-    assert [task[2:] for task in mapped] == [(0, 2), (1, 2)]
+    # worker_count(10**6, 3) = 2 tasks, task i from the i-th of the
+    # representatives 0, 2 and 4
+    assert [task[2] for task in mapped] == [[0, 4], [2]]
     many = capsys.readouterr().out
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == many
