@@ -177,9 +177,6 @@ def cmd_census(args) -> int:
     bound = math.factorial(args.t - 1)
     bound_applies = args.k == args.t
     within = mx <= bound
-    # N(S) lies in N(S') for each t-subset S' of S, so no k > t passes the bound
-    if args.k > args.t and not within:
-        raise AssertionError(f"{args.k}-subset has {mx} common neighbours, over (t-1)! = {bound}")
     result = {
         "p": args.p,
         "t": args.t,

@@ -122,7 +122,7 @@ def make_graph(p: int, t: int, modulus=None) -> "NormGraph":
         raise ValueError(f"t must be >= 3, got {t}")
     k = t - 1
     if modulus is None:
-        if 2**k > ENUM_LIMIT:  # refused before a search costing about p^k
+        if k >= ENUM_LIMIT.bit_length():  # 2^k above it, before a p^k search
             raise ValueError(
                 f"P({p},{t}) has at least 2^{k} vertices, above the enumeration guard {ENUM_LIMIT}"
             )
@@ -235,14 +235,6 @@ class NormGraph:
             self._rows = rows, masks
         return self._rows
 
-    def _bitset_for(self, vid: int) -> int:
-        base, masks = self._rotation()
-        row = [base[vid % (self.p - 1)]]
-        for digit, mask in zip(self.field.element_from_index(vid // (self.p - 1)), masks):
-            for _ in range(digit):
-                row = _rotate(row, mask)
-        return row[0] & ~(1 << vid)  # simple graph: drop the loop if present
-
     def _loop_ids(self) -> set[int]:
         """Ids of the vertices (alpha, a) with a^2 = N(2 alpha): the rotated
         rows that hold their own bit."""
@@ -263,13 +255,16 @@ class NormGraph:
         none does."""
         return (self.qprime - 1) * (self.n - 1 if self.p % 2 else self.n)
 
-    def _all_bitsets(self) -> list[int]:
+    def _require_memory(self) -> None:
         need = self.n * -(-self.n // 8)
         if need > CENSUS_MEMORY:
             raise ValueError(
                 f"census bitsets for {self.n} vertices need {need} bytes, "
                 f"above the memory guard {CENSUS_MEMORY}"
             )
+
+    def _all_bitsets(self) -> list[int]:
+        self._require_memory()
         if self._bitsets is None:
             bitsets = list(self._iter_bitsets())
             self._probe_symmetry(bitsets)
@@ -320,11 +315,21 @@ class NormGraph:
         ids = [self.vertex_id(self.check_vertex(s)) for s in S]
         if len(set(ids)) != len(ids):
             raise ValueError("query vertices must be distinct")
-        # no bitset holds its own bit, so the AND already excludes S
-        inter = self._bitset_for(ids[0])
-        for vid in ids[1:]:
-            inter &= self._bitset_for(vid)
-        return [self.vertex_from_id(i) for i in _iter_bits(inter)]
+        common = set.intersection(*map(self._norm_neighbours, ids))  # no set holds its own id
+        return [self.vertex_from_id(i) for i in sorted(common)]
+
+    def _norm_neighbours(self, vid: int) -> set[int]:
+        """Ids of vertex vid's neighbours, read from the checked norm table
+        with no bitset: (alpha, a) meets (beta, N(alpha + beta) / a) for
+        every beta with N(alpha + beta) != 0, itself dropped."""
+        p, field, norms = self.p, self.field, self._norm_table()
+        alpha, a = self.vertex_from_id(vid)
+        inv = fp_inv(a, p)
+        return {
+            j * (p - 1) + v * inv % p - 1
+            for j, beta in enumerate(field.elements())
+            if (v := norms[field.index(field.add(alpha, beta))])
+        } - {vid}
 
     # -- biclique verification ---------------------------------------------
 
@@ -373,21 +378,14 @@ class NormGraph:
         return [keys.index(key) for key in range(p)]
 
     def _checked_by_norms(self, best: int, subset: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """(best, subset) once |N(subset)|, counted from the norm table with
-        no bitset, is best: each member (alpha, a) meets (beta, N(alpha +
-        beta) / a) for every beta with N(alpha + beta) != 0, and the members
-        themselves are dropped."""
-        p, field, norms = self.p, self.field, self._norm_table()
-        common = set(range(self.n))
-        for s in subset:
-            alpha, a = self.vertex_from_id(s)
-            inv = fp_inv(a, p)
-            common &= {
-                j * (p - 1) + v * inv % p - 1
-                for j, beta in enumerate(field.elements())
-                if (v := norms[field.index(field.add(alpha, beta))])
-            }
-        count = len(common - set(subset))
+        """(best, subset), every census's answer, once |N(subset)| is within
+        (t-1)! for k > t, and is best when recounted by _norm_neighbours.
+        N(S) lies in N(S') for each t-subset S' of S, so no k > t passes the
+        bound."""
+        k, bound = len(subset), math.factorial(self.t - 1)
+        if k > self.t and best > bound:
+            raise AssertionError(f"{k}-subset has {best} common neighbours, over (t-1)! = {bound}")
+        count = len(set.intersection(*map(self._norm_neighbours, subset)))
         if count != best:
             raise AssertionError(
                 f"the norm route counts {count} common neighbours of {subset}, not {best}"
@@ -406,25 +404,30 @@ class NormGraph:
         """Exhaustive max of |common neighborhood| over all k-subsets.
 
         Returns (max size, the colex-first maximizing subset as vertex ids).
-        Refuses when C(n, k) exceeds the budget.  The scalings are
+        Refuses a table over the memory guard, then C(n, k) over the budget;
+        the guard bounds n, so C(n, k) is cheap to count.  The scalings are
         automorphisms with p vertex orbits, so some maximizing subset holds
-        one of the p representatives: phase 1 searches the k-subsets through
-        each, one task per worker; phase 2 runs the colex search over all
-        k-subsets from a best of max - 1 and stops at its first hit, the
-        colex-first maximizer."""
+        one of the p representatives: phase 1 searches the k-subsets whose
+        largest member is one, one task per worker; phase 2 runs the colex
+        search over all k-subsets from a best of max - 1 and stops at its
+        first hit, the colex-first maximizer."""
         self._require_subset_size(k)
-        total = math.comb(self.n, k)
-        if total > budget:
+        self._require_memory()
+        if (total := math.comb(self.n, k)) > budget:
+            shown = f" = {total}" if total < 10**4300 else ""  # str() stops at 4300 digits
             raise ValueError(
-                f"exhaustive census needs C({self.n},{k}) = {total} subsets, "
+                f"exhaustive census needs C({self.n},{k}){shown} subsets, "
                 f"over the budget of {budget}; rerun with --sample"
             )
         bitsets = self._all_bitsets()
-        reps = self._orbit_representatives()
-        # each task pickles the whole table, so one task per worker, not per
-        # --jobs; task i takes every workers-th representative from the i-th
-        workers = worker_count(jobs, len(reps))
-        tasks = [(bitsets, k, reps[i::workers]) for i in range(workers)]
+        reps = dict.fromkeys(self._orbit_representatives())  # in order, found in O(1)
+        # with the representatives last, a subset holds one exactly when its
+        # largest member is one of the last p; each task pickles the whole
+        # table, so one task per worker, not per --jobs, and task i takes
+        # every workers-th representative from the i-th
+        table = [b for vid, b in enumerate(bitsets) if vid not in reps] + [bitsets[r] for r in reps]
+        n, workers = self.n, worker_count(jobs, len(reps))
+        tasks = [(table, k, range(n - len(reps) + i, n, workers)) for i in range(workers)]
         best = max(run_tasks(_orbit_search, tasks, jobs))
         reached, subset = _census_search(bitsets, k, best=best - 1, first=True)
         if reached != best:
@@ -490,22 +493,17 @@ class NormGraph:
         )
 
 
-def _rotate(rows: list[int], mask: tuple[int, int, int, int]) -> list[int]:
-    """rows with one digit axis rotated one step; mask is from _rotation."""
-    s, back, low, high = mask
-    return [x >> s & low | x << back & high for x in rows]
-
-
 def _rotations(rows: list[int], masks: list, p: int):
     """rows rotated by every alpha in index order, axis len(masks) - 1
-    outermost: digit 0, the fastest, is the innermost loop."""
+    outermost: digit 0, the fastest, is the innermost loop.  Each mask is
+    from _rotation and turns its axis one step."""
     if not masks:
         yield rows
         return
-    *inner, mask = masks
+    *inner, (s, back, low, high) = masks
     for digit in range(p):
         if digit:
-            rows = _rotate(rows, mask)
+            rows = [x >> s & low | x << back & high for x in rows]
         yield from _rotations(rows, inner, p)
 
 
@@ -565,43 +563,32 @@ def _subset_census(bitsets: list[int], subset: tuple[int, ...]) -> int:
 
 
 def _orbit_search(task) -> int:
-    """The largest |N(S)| over the k-subsets S that hold one of reps: each
-    representative's bitset starts the prefix AND of a search over the other
-    n-1 bitsets at k-1, whose best carries over to the next."""
-    bitsets, k, reps = task
-    best = -1
-    for r in reps:
-        if k == 1:
-            best = max(best, bitsets[r].bit_count())
-        else:
-            others = bitsets[:r] + bitsets[r + 1:]
-            best = _census_search(others, k - 1, bitsets[r], best)[0]
-    return best
+    """Phase 1's task: the best count of _census_search(table, k, tops)."""
+    return _census_search(*task)[0]
 
 
 def _census_search(
-    bitsets: list[int], k: int, inter: int = -1, best: int = -1, first: bool = False
+    bitsets: list[int], k: int, tops: range | None = None, best: int = -1, first: bool = False
 ) -> tuple[int, tuple[int, ...]]:
-    """Max |common neighbourhood| over the k-subsets of ids into bitsets,
-    each ANDed with inter too (-1 has every bit), with the colex-first
-    maximizing subset, or (best, ()) when none beats best: a depth-first walk
-    in colex order, largest member outermost, that does not extend a prefix
-    whose AND has no more bits than the best so far.  The smallest member
-    climbs in one list, one AND and one bit_count a subset.  With first set
-    it returns at the first subset that beats best.  No bitset may hold its
-    own bit, so the AND already excludes the subset.  Open levels are kept
-    in a list, not on the call stack: k may be large."""
+    """Max |common neighbourhood| over the k-subsets of ids into bitsets
+    whose largest member lies in tops (by default anywhere), with the
+    colex-first maximizing subset, or (best, ()) when none beats best: a
+    depth-first walk in colex order, largest member outermost, that does not
+    extend a prefix whose AND has no more bits than the best so far.  The
+    smallest member climbs in one list, one AND and one bit_count a subset.
+    With first set it returns at the first subset that beats best.  No
+    bitset may hold its own bit, so the AND already excludes the subset.
+    Open levels are kept in a list, not on the call stack: k may be large."""
     best_subset = ()
     members = []  # the prefix, largest first
-    span = range(k - 1, len(bitsets))  # where the next member lies
-    levels = []  # per open level: its members left and the AND above it
+    span = range(k - 1, len(bitsets)) if tops is None else tops  # where the next member lies
+    levels, inter = [], -1  # open levels (members left, AND above); the prefix's AND
     while True:
         if len(members) < k - 1:
             levels.append((iter(span), inter))
         else:
-            sizes = [(b & inter).bit_count() for b in bitsets[span.start:span.stop]]
-            top = max(sizes)
-            if top > best:
+            sizes = [(b & inter).bit_count() for b in bitsets[span.start:span.stop:span.step]]
+            if sizes and (top := max(sizes)) > best:  # no span lies below a top of 0
                 best, best_subset = top, (span[sizes.index(top)], *reversed(members))
                 if first:
                     return best, best_subset

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -464,6 +465,33 @@ class TestCensus:
             "guard 4194304"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["census", "--p", 3, "--t", 400_000_000, "--k", 1], "P(3,400000000) has at least "
+             "2^399999999 vertices, above the enumeration guard 4194304"),
+            (["census", "--p", 3, "--t", 10**12, "--k", 1], "P(3,1000000000000) has at least "
+             "2^999999999999 vertices, above the enumeration guard 4194304"),
+            (["export", "--p", 3, "--t", 10**12], "P(3,1000000000000) has at least "
+             "2^999999999999 vertices, above the enumeration guard 4194304"),
+            # the memory guard, which needs only n, comes before C(n,k)
+            (["census", "--p", 1000003, "--t", 4, "--k", 10**6], "census bitsets for "
+             f"{(n := 1000003**3 * 1000002)} vertices need {n * -(-n // 8)} bytes, above the "
+             f"memory guard {graph.CENSUS_MEMORY}"),
+            # C(78608,39304) has 23,661 digits, more than str() writes
+            (["census", "--p", 17, "--t", 4, "--k", 39304], "exhaustive census needs "
+             f"C(78608,39304) subsets, over the budget of {graph.CENSUS_BUDGET}; rerun with --sample"),
+        ],
+        ids=["t-4e8", "t-1e12", "export-t-1e12", "memory-before-budget", "count-unprintable"],
+    )
+    def test_size_flags_refused_at_once(self, argv, message):
+        # no refusal builds a number as large as the flags name: a run that
+        # does fails under the 1 GB cap, or times out
+        start = time.monotonic()
+        r = run(*argv, timeout=10, preexec_fn=cap_address_space)
+        assert time.monotonic() - start < 1
+        assert_usage_error(r, message)
+
     def test_k_not_t_skips_bound(self):
         r = run("census", "--p", 3, "--t", 4, "--k", 2)
         assert r.returncode == 0
@@ -478,14 +506,16 @@ class TestCensus:
         assert capsys.readouterr().out.splitlines()[-1] == "bound (t-1)! = 6: VIOLATED"
 
     def test_count_above_the_bound_above_t_is_an_internal_fault(self, monkeypatch, capsys):
-        # N(S) lies in the common neighbourhood of each 4-subset of S
-        monkeypatch.setattr(
-            graph.NormGraph, "census_max_common", lambda G, k, **kw: (7, (0, 1, 2, 3, 4))
-        )
-        code = cli.main(["census", "--p", "3", "--t", "4", "--k", "5"])
-        TestFailedCrossCheck.assert_one_line_exit(
-            capsys, code, "5-subset has 7 common neighbours, over (t-1)! = 6"
-        )
+        # N(S) lies in the common neighbourhood of each 4-subset of S; both
+        # censuses return through the library's check, before the recount
+        monkeypatch.setattr(graph, "_census_search", lambda *a, **kw: (7, (0, 1, 2, 3, 4)))
+        monkeypatch.setattr(graph, "_subset_census", lambda bitsets, subset: 7)
+        argv = ["census", "--p", "3", "--t", "4", "--k", "5"]
+        for mode in ([], ["--sample", "--trials", "3"]):
+            code = cli.main(argv + mode)
+            TestFailedCrossCheck.assert_one_line_exit(
+                capsys, code, "5-subset has 7 common neighbours, over (t-1)! = 6"
+            )
 
     def test_k_above_t_skips_bound(self, capsys):
         argv = ["census", "--p", "3", "--t", "3", "--k", "4"]

@@ -160,6 +160,18 @@ class TestBuildWitness:
         with pytest.raises(ValueError):
             build_general_witness(bad)
 
+    def test_repeated_root_is_refused(self, monkeypatch):
+        # the splitter returns the first root, the class of x, again
+        monkeypatch.setattr(general, "find_root_in_ext", lambda h, field, seed: field.gen)
+        with pytest.raises(AssertionError, match="extracted roots are not pairwise distinct"):
+            build_general_witness(self.params_17_9())
+
+    def test_repeated_vertex_is_refused(self):
+        # zeta = 1 at t = 4 makes A's first two vertices both (1, 1)
+        params = self.params_17_9()._replace(zeta=1)
+        with pytest.raises(AssertionError, match="witness vertices are not pairwise distinct"):
+            build_general_witness(params)
+
 
 class TestVerifyWitness:
     def build_17_9(self, seed=0):

@@ -209,7 +209,6 @@ class TestBitsets:
     def test_every_ordered_pair(self, p, t):
         G = make_graph(p, t)
         bitsets = G._all_bitsets()
-        assert bitsets == [G._bitset_for(vid) for vid in range(G.n)]
         assert all(bits < 1 << G.n for bits in bitsets)
         for u, v in itertools.product(range(G.n), repeat=2):
             assert self.agrees(G, bitsets, u, v), (u, v)
@@ -476,12 +475,15 @@ class TestDrawSubsets:
         assert [list(subset) for subset in got] == want
 
 
-def colex_first_max(bitsets, k):
-    """The oracle: the largest |N(S)| over every k-subset, by brute force, with
-    the first maximizing subset in colex order, which compares reversed
-    tuples."""
+def colex_first_max(bitsets, k, tops=None):
+    """The oracle: the largest |N(S)| over every k-subset whose largest
+    member lies in tops (by default anywhere), by brute force, with the
+    first maximizing subset in colex order, which compares reversed tuples;
+    (-1, ()) when there is none."""
     best, best_subset = -1, ()
     for subset in itertools.combinations(range(len(bitsets)), k):
+        if tops is not None and subset[-1] not in tops:
+            continue
         size = functools.reduce(operator.and_, map(bitsets.__getitem__, subset))
         size = size.bit_count()
         if size > best or (size == best and subset[::-1] < best_subset[::-1]):
@@ -511,6 +513,39 @@ class TestColex:
         bitsets = [0b1111] * 4
         assert _census_search(bitsets, 2) == (4, (0, 1))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 17])
+    @pytest.mark.parametrize(
+        "tops", [range(0, 18, 4), range(5, 18, 3), range(16, 18), range(15, 18, 2)],
+        ids=lambda tops: f"from{tops.start}by{tops.step}",
+    )
+    def test_search_below_strided_tops(self, k, tops):
+        # tops may hold ids below k - 1, such as 0, that top no k-subset
+        bitsets = make_graph(3, 3)._all_bitsets()
+        assert _census_search(bitsets, k, tops) == colex_first_max(bitsets, k, tops)
+
+    @pytest.mark.parametrize(
+        "p, t, k", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 2), (5, 3, 3)]
+    )
+    def test_phase_one_is_the_max_through_a_representative(self, monkeypatch, p, t, k):
+        G = make_graph(p, t)
+        bitsets, reps = G._all_bitsets(), G._orbit_representatives()
+        want = max(
+            functools.reduce(operator.and_, map(bitsets.__getitem__, rest), bitsets[r]).bit_count()
+            for r in reps
+            for rest in itertools.combinations([v for v in range(G.n) if v != r], k - 1)
+        )
+        phase_one = []
+
+        def run_tasks(fn, tasks, jobs):
+            phase_one.append([fn(task) for task in tasks])
+            return phase_one[-1]
+
+        monkeypatch.setattr(graph, "run_tasks", run_tasks)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for jobs in (1, 2, p):
+            G.census_max_common(k, jobs=jobs)
+            assert max(phase_one[-1]) == want, jobs
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_equal_table_at_every_jobs(self, monkeypatch, tasks_in_process, k):
         G = make_graph(3, 3)
@@ -528,7 +563,7 @@ class TestColex:
     @pytest.mark.parametrize(
         "p, t, k",
         [(3, 4, 1), (3, 4, 2), (3, 4, 3), (3, 4, 4), (5, 3, 3), (3, 3, 4), (2, 5, 3), (5, 3, 2),
-         (5, 3, 4), (3, 4, 5), (2, 5, 5)],
+         (5, 3, 4), (3, 4, 5), (2, 5, 5), (2, 5, 15), (2, 5, 16), (3, 3, 17)],
     )
     def test_worker_matches_brute_force(self, tasks_in_process, p, t, k):
         G = make_graph(p, t)

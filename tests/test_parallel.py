@@ -9,7 +9,7 @@ import pytest
 
 import normgraph
 from normgraph import cli, graph, parallel
-from normgraph.graph import _orbit_search
+from normgraph.graph import _orbit_search, make_graph
 
 
 @pytest.fixture
@@ -74,8 +74,11 @@ def test_census_cuts_its_tasks_for_the_workers_not_the_jobs(monkeypatch, pools, 
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
     assert pools == [[2, 1]]
     # worker_count(10**6, 3) = 2 tasks, task i from the i-th of the
-    # representatives 0, 2 and 4
-    assert [task[2] for task in mapped] == [[0, 4], [2]]
+    # representatives 0, 2 and 4, whose bitsets the table holds last
+    bitsets = make_graph(3, 4)._all_bitsets()
+    assert len(set(bitsets)) == len(bitsets)
+    assert [task[2] for task in mapped] == [range(51, 54, 2), range(52, 54, 2)]
+    assert [[bitsets.index(task[0][top]) for top in task[2]] for task in mapped] == [[0, 4], [2]]
     many = capsys.readouterr().out
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == many
