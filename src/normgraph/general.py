@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import polys
 from .ff import ExtElement, ExtField
 from .graph import (
     GENERAL_KEYS,
     MAX_T,
+    NormGraph,
     Vertex,
     WitnessReport,
     encode_witness,
@@ -24,6 +26,7 @@ from .graph import (
 )
 from .parallel import run_tasks
 from .polys import (
+    eval_in_ext,
     find_root_in_ext,
     is_irreducible,
     poly_eval,
@@ -143,37 +146,47 @@ def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitnes
 
 
 def verify_general_witness(w: GeneralWitness) -> WitnessReport:
-    """Graph layer: every A-B pair adjacent in P(p,t) over f_1 - r.
-    Identity layer: for c in {0, zeta^k} and every i,
-    norm(c - alpha_i) = (f_i - r)(c) = theta_i - r = a_i, with (-alpha_i, a_i)
-    the stored B vertex; identity_checked counts the identities run.  These
-    hold at c = 0 and 1 for any zeta, so zeta must be the least element of
-    order t-2 and each A vertex a (c, 1), else ValueError; with the graph
-    layer's distinctness check, A is then the construction's set."""
-    params = w.params
-    t, p, r = params.t, params.p, params.r
+    """Graph layer: every A-B pair adjacent in P(p,t) over the witness's own
+    field, which must be F_p[x]/(h_1), else ValueError.  Identity layer, with
+    no norm: the theta_i distinct roots of x^m - 2, else ValueError; per B
+    vertex (-alpha_i, a_i), h_i = f_i - r irreducible with h_i(alpha_i) = 0,
+    which makes N(c - alpha_i) = h_i(c) a theorem, and for each c in
+    {0, zeta^k} one identity h_i(c) = theta_i - r = a_i, counted in
+    identity_checked.  These hold at c = 0 and 1 for any zeta, so zeta must be
+    the least element of order t-2 and each A vertex a (c, 1), else
+    ValueError; with the graph layer's distinctness check, A is then the
+    construction's set."""
+    params, field = w.params, w.field
+    t, m, p, r, thetas = params.t, params.m, params.p, params.r, params.thetas
+    if (field.p, field.k, field.modulus) != (p, t - 1, tuple(shifted_poly(t, thetas[0], r, p))):
+        raise ValueError(f"the witness's field is not F_{p}[x]/(x^{t - 1} - x + theta_1 - r)")
     if params.zeta != primitive_nth_root(t - 2, p):
         raise ValueError(f"zeta = {params.zeta} is not the least element of order {t - 2} mod {p}")
-    G = make_graph(p, t, shifted_poly(t, params.thetas[0], r, p))
-    biclique = G.verify_biclique(w.A, w.B)
+    if any(pow(th, m, p) != 2 % p for th in thetas):
+        raise ValueError(f"thetas {list(thetas)} are not all roots of x^{m} - 2 mod {p}")
+    if len({th % p for th in thetas}) != len(thetas):
+        raise ValueError(f"thetas {list(thetas)} are not distinct mod {p}")
+    biclique = NormGraph(p, t, field).verify_biclique(w.A, w.B)
 
-    field = G.field
     cs = [0] + [pow(params.zeta, k, p) for k in range(1, t - 1)]
     if not set(w.A) <= {Vertex(field.from_base(c), 1) for c in cs}:
         raise ValueError("A is not the construction's {(zeta^k, 1)} with (0, 1)")
     checked, identity_failures = 0, []
     for i, vert in enumerate(w.B):
-        h = shifted_poly(t, params.thetas[i], r, p)
-        target = (params.thetas[i] - r) % p
+        h = shifted_poly(t, thetas[i], r, p)
+        target = (thetas[i] - r) % p
+        # via polys, as perfbench/layers.py counts general.is_irreducible as search tests
+        irreducible = polys.is_irreducible(h, p)
+        # vert.alpha stores -alpha_i
+        root = eval_in_ext(h, field.neg(vert.alpha), field) == field.zero
         for c in cs:
             checked += 1
-            # vert.alpha stores -alpha_i, so c - alpha_i = c + vert.alpha
-            lhs = field.norm(field.add(field.from_base(c), vert.alpha))
             rhs = poly_eval(h, c, p)
-            if lhs != rhs or rhs != target or vert.a != target:
+            if not irreducible or not root or rhs != target or vert.a != target:
                 identity_failures.append(
-                    f"identity fails for B[{i}] at c = {c}: norm {lhs}, "
-                    f"evaluation {rhs}, second coordinate {vert.a}, expected {target}"
+                    f"identity fails for B[{i}] at c = {c}: h irreducible {irreducible}, "
+                    f"h(alpha) = 0 {root}, evaluation {rhs}, second coordinate {vert.a}, "
+                    f"expected {target}"
                 )
     return WitnessReport(
         biclique=biclique,
@@ -205,8 +218,7 @@ def witness_from_sides(data: dict, A: list[Vertex], B: list[Vertex]) -> GeneralW
     has read."""
     params = GeneralParams(*(data[key] for key in GeneralParams._fields))
     params = params._replace(thetas=tuple(params.thetas))
-    field = ExtField(
-        params.p, params.t - 1, shifted_poly(params.t, params.thetas[0], params.r, params.p)
-    )
+    t, p = params.t, params.p
+    field = make_graph(p, t, shifted_poly(t, params.thetas[0], params.r, p)).field
     alphas = [field.neg(v.alpha) for v in B]
     return GeneralWitness(params=params, field=field, A=A, B=B, alphas=alphas)

@@ -170,8 +170,11 @@ class NormGraph:
         self.check_vertex(v)
         if u == v:
             raise ValueError("adjacency is defined on distinct vertices only")
-        s = self.field.add(u.alpha, v.alpha)
-        return self.field.norm(s) == u.a * v.a % self.p
+        return self._adjacent_checked(u, v)
+
+    def _adjacent_checked(self, u: Vertex, v: Vertex) -> bool:
+        """adjacent() for two vertices already checked and distinct."""
+        return self.field.norm(self.field.add(u.alpha, v.alpha)) == u.a * v.a % self.p
 
     def _require_enumerable(self) -> None:
         if self.n > ENUM_LIMIT:
@@ -340,7 +343,7 @@ class NormGraph:
             (uid, vid)
             for u, uid in zip(L, l_ids)
             for v, vid in zip(R, r_ids)
-            if uid == vid or not self.adjacent(u, v)
+            if uid == vid or not self._adjacent_checked(u, v)
         ]
         report = BicliqueReport(
             left_distinct=len(set(l_ids)) == len(l_ids),

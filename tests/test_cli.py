@@ -1285,3 +1285,36 @@ class TestWitnessGeneral:
             for j in (1, 2, 8)
         }
         assert len(outs) == 1
+
+
+class TestOneFieldPerWitness:
+    @staticmethod
+    def count_fields(monkeypatch) -> list:
+        """Record the modulus of every ExtField built."""
+        moduli, init = [], ExtField.__init__
+
+        def counted(self, p, k, modulus):
+            moduli.append(list(modulus))
+            init(self, p, k, modulus)
+
+        monkeypatch.setattr(ExtField, "__init__", counted)
+        return moduli
+
+    def test_witness_general_builds_one_field_per_witness(self, monkeypatch, capsys):
+        moduli = self.count_fields(monkeypatch)
+        argv = ["witness-general", "--t", "4", "--m", "2", "--limit", "20", "--all"]
+        assert cli.main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "t=4 m=2 p=17 r=8 verified=True",
+            "t=4 m=2 p=17 r=9 verified=True",
+        ]
+        assert moduli == [general.shifted_poly(4, 6, r, 17) for r in (8, 9)]
+
+    def test_verify_of_a_general_file_builds_one_field(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "g.json"
+        assert cli.main(["witness-general", "--t", "4", "--m", "2", "--limit", "20",
+                         "--output", str(out)]) == 0
+        moduli = self.count_fields(monkeypatch)
+        assert cli.main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+        assert moduli == [general.shifted_poly(4, 6, 8, 17)]

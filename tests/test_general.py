@@ -15,7 +15,7 @@ from normgraph.general import (
     shifted_poly,
     verify_general_witness,
 )
-from normgraph.graph import Vertex
+from normgraph.graph import BicliqueReport, BicliqueWitness, Vertex
 from normgraph.polys import eval_in_ext, poly_eval, poly_gcd
 from normgraph.primes import primes_up_to
 
@@ -255,6 +255,132 @@ class TestVerifyWitness:
         assert [msg.split(":")[0] for msg in report.identity_failures] == [
             f"identity fails for B[{i}] at c = {c}" for i in (0, 1) for c in (3, 9)
         ]
+
+
+# the first parameter set each search finds at (t, m) = (4, 2), (5, 3), (6, 3)
+LAYER_CASES = [(4, 2, 20), (5, 3, 50), (6, 3, 2000)]
+
+
+def passing_graph_layer(monkeypatch):
+    """Stub NormGraph.verify_biclique with a passing report, so that a test
+    sees the identity layer alone."""
+
+    def passing(self, L, R):
+        report = BicliqueReport(True, True, True, len(L) * len(R), [])
+        return BicliqueWitness(list(L), list(R), report)
+
+    monkeypatch.setattr(graph.NormGraph, "verify_biclique", passing)
+
+
+def no_norms(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("a norm was computed")
+
+    for name in ("norm", "norm_conj", "norm_det"):
+        monkeypatch.setattr(ExtField, name, refuse)
+
+
+def replace_theta(w, i, theta):
+    thetas = list(w.params.thetas)
+    thetas[i] = theta
+    return w._replace(params=w.params._replace(thetas=tuple(thetas)))
+
+
+def non_root(w):
+    """theta_2 moved to the least residue that is not a root of x^m - 2."""
+    p, m = w.params.p, w.params.m
+    return replace_theta(w, 1, next(x for x in range(p) if pow(x, m, p) != 2))
+
+
+def swapped_thetas(w):
+    first, second, *rest = w.params.thetas
+    return w._replace(params=w.params._replace(thetas=(second, first, *rest)))
+
+
+def edited_zeta(w):
+    return w._replace(params=w.params._replace(zeta=w.params.zeta ** 2 % w.params.p))
+
+
+def edited_left_vertex(w):
+    alpha = (w.A[0].alpha[0], 1, *w.A[0].alpha[2:])
+    return w._replace(A=[Vertex(alpha, 1), *w.A[1:]])
+
+
+def edited_alpha(w):
+    alpha = list(w.B[1].alpha)
+    alpha[1] = (alpha[1] + 1) % w.params.p
+    return w._replace(B=[w.B[0], Vertex(tuple(alpha), w.B[1].a), *w.B[2:]])
+
+
+class TestIdentityLayer:
+    @pytest.mark.parametrize("t, m, limit", LAYER_CASES)
+    def test_passes_with_every_norm_route_refused(self, monkeypatch, t, m, limit):
+        w = build_general_witness(find_parameters(t, m, limit, max_results=1)[0])
+        passing_graph_layer(monkeypatch)
+        no_norms(monkeypatch)
+        report = verify_general_witness(w)
+        assert report.passed
+        assert report.identity_checked == (t - 1) * m
+
+    @pytest.mark.parametrize(
+        "edit", [non_root, swapped_thetas, edited_zeta, edited_left_vertex, edited_alpha]
+    )
+    @pytest.mark.parametrize("t, m, limit", LAYER_CASES)
+    def test_each_edit_fails_the_layer(self, monkeypatch, t, m, limit, edit):
+        w = edit(build_general_witness(find_parameters(t, m, limit, max_results=1)[0]))
+        passing_graph_layer(monkeypatch)
+        no_norms(monkeypatch)
+        try:
+            report = verify_general_witness(w)
+        except ValueError:
+            return
+        assert report.identity_failures
+
+    def test_thetas_off_x_m_minus_2_are_refused(self):
+        # x^3 - x + s is irreducible mod 17 for s = 7 - 9 and 12 - 9, so the
+        # witness on thetas 7 and 12 is consistent but for 7^2, 12^2 != 2
+        w = build_general_witness(find_parameters(4, 2, 20)[1]._replace(thetas=(7, 12)))
+        with pytest.raises(ValueError, match=r"thetas \[7, 12\] are not all roots of x\^2 - 2"):
+            verify_general_witness(w)
+
+    def test_repeated_theta_is_refused(self):
+        # B[1] on the conjugate x^17 of B[0]'s root, with theta_2 = theta_1:
+        # a K_{3,2}, but not the construction's
+        w = build_general_witness(find_parameters(4, 2, 20)[1])
+        conjugate = w.field.neg(w.field.frobenius(w.field.gen))
+        w = replace_theta(w, 1, 6)._replace(B=[w.B[0], Vertex(conjugate, w.B[0].a)])
+        with pytest.raises(ValueError, match=r"thetas \[6, 6\] are not distinct mod 17"):
+            verify_general_witness(w)
+
+    def test_reducible_shift_fails_its_identities(self):
+        # at r = 1, h_1 = x^3 - x + 5 is irreducible mod 17 but h_2 =
+        # x^3 - x + 10 has a root x0 in F_17, which B[1] stores
+        p, r = 17, 1
+        h2 = shifted_poly(4, 11, r, p)
+        x0 = next(x for x in range(p) if poly_eval(h2, x, p) == 0)
+        params = find_parameters(4, 2, 20)[1]._replace(r=r)
+        field = ExtField(p, 3, shifted_poly(4, 6, r, p))
+        A = [Vertex(field.from_base(c), 1) for c in (16, 1, 0)]
+        B = [Vertex(field.neg(field.gen), 5), Vertex(field.from_base(-x0), 10)]
+        report = verify_general_witness(
+            general.GeneralWitness(params, field, A, B, [field.gen, field.from_base(x0)])
+        )
+        assert [msg.split(":")[:2] for msg in report.identity_failures] == [
+            [f"identity fails for B[1] at c = {c}", " h irreducible False, h(alpha) = 0 True, "
+             "evaluation 10, second coordinate 10, expected 10"]
+            for c in (0, 16, 1)
+        ]
+
+    def test_edited_alpha_is_not_a_root(self):
+        w = edited_alpha(build_general_witness(find_parameters(4, 2, 20)[1]))
+        report = verify_general_witness(w)
+        assert [msg.split(",")[1] for msg in report.identity_failures] == [" h(alpha) = 0 False"] * 3
+
+    def test_field_must_be_over_the_first_shift(self):
+        w = build_general_witness(find_parameters(4, 2, 20)[1])
+        other = ExtField(17, 3, shifted_poly(4, 11, 9, 17))
+        with pytest.raises(ValueError, match="field is not F_17"):
+            verify_general_witness(w._replace(field=other))
 
 
 class TestSerialization:

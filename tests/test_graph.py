@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from normgraph import ff, graph
+from normgraph import ff, general, graph, k46
 from normgraph.graph import (
     NormGraph,
     Vertex,
@@ -330,6 +330,47 @@ class TestBiclique:
         assert biclique.report.passed
         assert graph.WitnessReport(biclique, 1, []).passed
         assert not graph.WitnessReport(biclique, 1, ["stub identity failure"]).passed
+
+
+    @staticmethod
+    def counted(monkeypatch, owner, name) -> list:
+        """Record the argument of every call to owner.name."""
+        calls, orig = [], getattr(owner, name)
+
+        def wrapper(self, arg):
+            calls.append(arg)
+            return orig(self, arg)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["canonical 4x6", "general 3x2"])
+    def test_each_vertex_checked_once_and_each_pair_normed_once(self, monkeypatch, kind):
+        if kind == "general 3x2":
+            w = general.build_general_witness(general.find_parameters(4, 2, 20)[1])
+            verify = general.verify_general_witness
+        else:
+            w = k46.build_witness(k46.is_qualifying_prime(7))
+            verify = k46.verify_witness
+        checked = self.counted(monkeypatch, NormGraph, "check_vertex")
+        normed = self.counted(monkeypatch, ff.ExtField, "norm")
+        report = verify(w)
+        assert report.passed
+        assert checked == w.A + w.B
+        # ExtField.norm runs both norm routes and compares them
+        assert len(normed) == len(w.A) * len(w.B) == report.adjacency_checked
+
+    def test_malformed_vertex_refused_before_any_norm(self, monkeypatch):
+        G = make_graph(3, 4)
+        u = G.vertex_from_id(0)
+        R = [*neighbors(G, u)[:2], Vertex((0, 0, 3), 1)]
+
+        def refuse(self, a):
+            raise AssertionError("a norm was computed")
+
+        monkeypatch.setattr(ff.ExtField, "norm", refuse)
+        with pytest.raises(ValueError, match="malformed vertex"):
+            G.verify_biclique([u], R)
 
 
 class TestCensus:
