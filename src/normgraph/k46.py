@@ -12,12 +12,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
-from .graph import NormGraph, Vertex, WitnessReport, make_graph
+# is_irreducible and make_graph are unused here; perfbench/layers.py rebinds
+# k46.is_irreducible and k46.make_graph
+from .graph import NormGraph, Vertex, WitnessReport, make_graph  # noqa: F401
 from .parallel import run_tasks
 from .polys import (
     discriminant,
     int_poly_mul,
-    is_irreducible,
+    is_irreducible,  # noqa: F401
     poly_eval,
     poly_pow_mod,
     power_residue,
@@ -72,14 +74,23 @@ class DegeneracyError(ValueError):
 
 
 def _poly_formulation(p: int) -> int | None:
-    """Index of the first cube condition that fails, from factoring, or
-    None: x^3 - 2 and x^3 - 3 irreducible, and x^3 - 6 split into distinct
-    linears, that is x^p == x mod x^3 - 6 (separable, as p does not divide 6)."""
-    if not is_irreducible(X3_MINUS_2, p):
+    """Index of the first cube condition that fails, from splitting tests,
+    or None: x^3 - 2 and x^3 - 3 irreducible, and x^3 - 6 split into
+    distinct linears.  Each condition is one test, x^p == x mod x^3 - c,
+    that is x^3 - c splits.  For p = 1 mod 3 and p > 3 the cube roots of unity lie
+    in F_p, so the roots of x^3 - c, distinct as p does not divide 3c, are
+    one orbit under them: x^3 - c has 0 or 3 roots in F_p, and a cubic
+    without one is irreducible.  So x^3 - c is irreducible exactly when
+    x^p != x mod it, and splits exactly when x^p == x.  ValueError on any
+    other p, where that argument fails."""
+    if p % 3 != 1 or p <= 3:
+        raise ValueError(f"the cube conditions are decided only for primes p = 1 mod 3, got {p}")
+    x = [0, 1]
+    if poly_pow_mod(x, p, X3_MINUS_2, p) == x:
         return 0
-    if not is_irreducible(X3_MINUS_3, p):
+    if poly_pow_mod(x, p, X3_MINUS_3, p) == x:
         return 1
-    return None if poly_pow_mod([0, 1], p, X3_MINUS_6, p) == [0, 1] else 2
+    return None if poly_pow_mod(x, p, X3_MINUS_6, p) == x else 2
 
 
 def _residue_formulation(p: int) -> int | None:
@@ -307,7 +318,12 @@ def verify_witness(w: WitnessK46) -> WitnessReport:
 
 
 def witness_graph(w: WitnessK46) -> NormGraph:
-    return make_graph(w.certificate.p, 4, X3_MINUS_2)
+    """P(p,4) over the witness's own field, which must be F_p[x]/(x^3 - 2);
+    ValueError otherwise."""
+    p, field = w.certificate.p, w.field
+    if field.modulus != tuple(c % p for c in X3_MINUS_2):
+        raise ValueError(f"witness field {field!r} is not F_{p}[x]/(x^3 - 2)")
+    return NormGraph(p, 4, field)
 
 
 def canonical_witness(G: NormGraph, L: list[Vertex], R: list[Vertex]) -> WitnessK46 | None:

@@ -1318,3 +1318,15 @@ class TestOneFieldPerWitness:
         assert cli.main(["verify", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
         assert moduli == [general.shifted_poly(4, 6, 8, 17)]
+
+    def test_witness46_and_verify_of_its_file_build_one_field_each(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "w.json"
+        moduli = self.count_fields(monkeypatch)
+        assert cli.main(["witness46", "--p", "37", "--output", str(out)]) == 0
+        assert moduli == [k46.X3_MINUS_2]
+        moduli.clear()
+        assert cli.main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+        assert moduli == [[-2 % 37, 0, 0, 1]]

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from normgraph import k46, polys
+from normgraph.ff import ExtField
 from normgraph.graph import Vertex, make_graph
 from normgraph.k46 import (
     DegeneracyError,
@@ -274,6 +275,13 @@ class TestVerify:
         other = make_graph(37, 4, [3, 0, 0, 1])
         assert k46.canonical_witness(other, w.A, w.B) is None
 
+    def test_witness_graph_refuses_a_foreign_field(self):
+        w = build_witness(is_qualifying_prime(37))
+        assert witness_graph(w).field is w.field
+        foreign = w._replace(field=ExtField(37, 3, [3, 0, 0, 1]))
+        with pytest.raises(ValueError, match=r"is not F_37\[x\]/\(x\^3 - 2\)"):
+            witness_graph(foreign)
+
     def test_thirtyseven_passes(self):
         report = verify_witness(build_witness(is_qualifying_prime(37)))
         assert report.passed
@@ -354,3 +362,42 @@ class TestSplittingIndependence:
             else:
                 want = None
             assert k46._poly_formulation(p) == want, f"p = {p}"
+
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_cube_conditions_need_p_1_mod_3(self, p):
+        # at p = 2 mod 3 every element is a cube and x^3 - c has exactly one
+        # root, so x^p != x would not mean irreducible
+        with pytest.raises(ValueError, match="p = 1 mod 3"):
+            k46._poly_formulation(p)
+
+    def test_splitting_calls_count_the_conditions_decided(self, monkeypatch):
+        # the tracer's k46.splitting_calls: one poly_pow_mod per cube
+        # condition decided, up to and including the first that fails, and
+        # no is_irreducible at all
+        calls = []
+        poly_pow_mod = k46.poly_pow_mod
+
+        def counted(*args):
+            calls.append(args)
+            return poly_pow_mod(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the splitting route called is_irreducible")
+
+        monkeypatch.setattr(k46, "poly_pow_mod", counted)
+        monkeypatch.setattr(k46, "is_irreducible", forbidden)
+        sieve_qualifying(20000)
+        want = 0
+        for p in primes_up_to(20000):
+            if p % 3 != 1:
+                continue
+            # -1 is a cube, so the cubes are those of 1..(p-1)/2 and their negatives
+            half = {x**3 % p for x in range(1, (p + 1) // 2)}
+            cubes = half | {p - c for c in half}
+            if 2 in cubes:
+                want += 1
+            elif 3 in cubes:
+                want += 2
+            else:
+                want += 3
+        assert len(calls) == want
