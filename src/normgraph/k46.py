@@ -9,19 +9,20 @@ subgraph, verified both as graph adjacencies and as closed-form identities.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .ff import ExtElement, ExtField, fp_inv
-# is_irreducible and make_graph are unused here; perfbench/layers.py rebinds
-# k46.is_irreducible and k46.make_graph
+# make_graph and poly_pow_mod are unused here; perfbench/layers.py rebinds
+# k46.make_graph and k46.poly_pow_mod
 from .graph import NormGraph, Vertex, WitnessReport, make_graph  # noqa: F401
 from .parallel import run_tasks
 from .polys import (
     discriminant,
     int_poly_mul,
-    is_irreducible,  # noqa: F401
+    is_irreducible,
     poly_eval,
-    poly_pow_mod,
+    poly_pow_mod,  # noqa: F401
     power_residue,
     primitive_nth_root,
     roots_in_base,
@@ -30,7 +31,6 @@ from .primes import is_prime, primes_up_to
 
 X3_MINUS_2 = [-2, 0, 0, 1]
 X3_MINUS_3 = [-3, 0, 0, 1]
-X3_MINUS_6 = [-6, 0, 0, 1]
 
 # the cubic whose roots supply the second half of the witness
 WITNESS_CUBIC = [7, 3, 21, 1]
@@ -73,24 +73,54 @@ class DegeneracyError(ValueError):
     """Witness vertices collided or a second coordinate vanished."""
 
 
-def _poly_formulation(p: int) -> int | None:
-    """Index of the first cube condition that fails, from splitting tests,
-    or None: x^3 - 2 and x^3 - 3 irreducible, and x^3 - 6 split into
-    distinct linears.  Each condition is one test, x^p == x mod x^3 - c,
-    that is x^3 - c splits.  For p = 1 mod 3 and p > 3 the cube roots of unity lie
-    in F_p, so the roots of x^3 - c, distinct as p does not divide 3c, are
-    one orbit under them: x^3 - c has 0 or 3 roots in F_p, and a cubic
-    without one is irreducible.  So x^3 - c is irreducible exactly when
-    x^p != x mod it, and splits exactly when x^p == x.  ValueError on any
-    other p, where that argument fails."""
+def _sqrt_minus_3(p: int) -> int:
+    """A square root of -3 mod p = 1 mod 3: 2w + 1 for the primitive cube
+    root of unity w = g^((p-1)/3), g the least base from 2 on whose power is
+    not 1, as (2w + 1)^2 = 4(w^2 + w + 1) - 3."""
+    e = (p - 1) // 3
+    g = 2
+    while (w := pow(g, e, p)) == 1:
+        g += 1
+    return (2 * w + 1) % p
+
+
+def _reciprocity_formulation(p: int) -> int | None:
+    """Index of the first cube condition that fails, by cubic reciprocity,
+    or None: 2 and 3 not cubes mod p, and 6 one (Ireland and Rosen, A
+    Classical Introduction to Modern Number Theory, ch. 9).
+
+    p = 1 mod 3 splits in Z[w] as p = a^2 - ab + b^2 = N(a + bw), and
+    Z[w]/(pi) = F_p for pi = a + bw, so c is a cube mod p exactly when the
+    cubic residue character chi_pi(c) is 1.  (a, b) comes from Cornacchia's
+    algorithm on x^2 + 3y^2 = p with a square root r of -3: Euclid on (p, r)
+    down to the first remainder x below sqrt(p), then y^2 = (p - x^2)/3 and
+    (a, b) = (x + y, 2y).  a^2 - ab + b^2 == p certifies the pair, so the
+    verdict rests on (a, b) alone and not on r.  Of pi's six associates one
+    is primary, a = 2 and b = 0 mod 3; for it, with b = 3n, reciprocity
+    gives chi_pi(2) = chi_2(pi), the cube root of unity = pi mod 2, and the
+    supplementary law chi_pi(3) = w^(2n).  6 is a cube when the two
+    exponents sum to 0 mod 3.  ValueError unless p = 1 mod 3 and p > 3."""
     if p % 3 != 1 or p <= 3:
         raise ValueError(f"the cube conditions are decided only for primes p = 1 mod 3, got {p}")
-    x = [0, 1]
-    if poly_pow_mod(x, p, X3_MINUS_2, p) == x:
+    u, x = p, _sqrt_minus_3(p)
+    while x * x > p:
+        u, x = x, u % x
+    y = isqrt((p - x * x) // 3)
+    a, b = x + y, 2 * y
+    if a * a - a * b + b * b != p:
+        raise AssertionError(f"Cornacchia's algorithm found no a^2 - ab + b^2 = {p}")
+    while b % 3:  # times w: (a + bw)w = -b + (a - b)w
+        a, b = -b, a - b
+    if a % 3 == 1:
+        a, b = -a, -b
+    # pi mod 2 is 1, w or 1 + w = w^2 as b, a or neither is even
+    two = 0 if b % 2 == 0 else 1 if a % 2 == 0 else 2
+    three = 2 * (b // 3) % 3
+    if not two:
         return 0
-    if poly_pow_mod(x, p, X3_MINUS_3, p) == x:
+    if not three:
         return 1
-    return None if poly_pow_mod(x, p, X3_MINUS_6, p) == x else 2
+    return None if (two + three) % 3 == 0 else 2
 
 
 def _residue_formulation(p: int) -> int | None:
@@ -107,28 +137,26 @@ def qualifying_verdict(p: int) -> tuple[bool, str]:
     are evaluated and must agree on the first failed cube condition."""
     if not is_prime(p):
         return False, f"{p} is not prime"
-    return _prime_verdict(p)
+    failed = _prime_verdict(p)
+    return (True, "") if failed is None else (False, REASONS[failed].format(p=p))
 
 
-def _prime_verdict(p: int) -> tuple[bool, str]:
-    # qualifying_verdict for a p already known to be prime.  26244 = 2^2 3^8
-    # and 248832 = 2^10 3^5, so a prime divides one exactly when it divides
-    # the other; that and p mod 3 are tested once, before either formulation
+def _prime_verdict(p: int) -> int | None:
+    # the failed REASONS index, or None, for a p already known to be prime.
+    # 26244 = 2^2 3^8 and 248832 = 2^10 3^5, so a prime divides one exactly
+    # when it divides the other; that and p mod 3 are tested once, before
+    # either formulation
     if not (PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p):
-        failed = 0
-    elif p % 3 != 1:
-        failed = 1
-    else:
-        cube, residue_cube = _poly_formulation(p), _residue_formulation(p)
-        if cube != residue_cube:
-            raise AssertionError(
-                f"splitting and residue formulations disagree at p = {p}: "
-                f"first failed cube condition {cube} vs {residue_cube}"
-            )
-        if cube is None:
-            return True, ""
-        failed = 2 + cube
-    return False, REASONS[failed].format(p=p)
+        return 0
+    if p % 3 != 1:
+        return 1
+    cube, residue_cube = _reciprocity_formulation(p), _residue_formulation(p)
+    if cube != residue_cube:
+        raise AssertionError(
+            f"reciprocity and residue formulations disagree at p = {p}: "
+            f"first failed cube condition {cube} vs {residue_cube}"
+        )
+    return None if cube is None else 2 + cube
 
 
 def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
@@ -136,6 +164,11 @@ def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
     ok, reason = qualifying_verdict(p)
     if not ok:
         return Rejection(p, reason)
+    # the verdict decided the cube conditions by reciprocity and residues;
+    # the certificate confirms the first two by factoring, and the third by
+    # the cube roots of 6 below
+    if not (is_irreducible(X3_MINUS_2, p) and is_irreducible(X3_MINUS_3, p)):
+        raise AssertionError(f"x^3 - 2 or x^3 - 3 is reducible at qualifying p = {p}")
     # Cardano: x = y - 7 turns the cubic into y^3 - 144y + 672, whose roots
     # are u + v with u^3 + v^3 = -672 and uv = 48, that is u = -2c^2 and
     # v = -4c over the cube roots c of 6, which the last condition provides
@@ -158,28 +191,37 @@ class SieveRow(NamedTuple):
 
 class SieveResult(NamedTuple):
     limit: int
-    rows: list[SieveRow]
+    primes: list[int]
+    # one byte per prime: 0 if it qualifies, else 1 + its REASONS index
+    verdicts: bytes
+
+    @property
+    def rows(self) -> list[SieveRow]:
+        """One row per prime, its reason text formatted on demand."""
+        return [SieveRow(p, not v, REASONS[v - 1].format(p=p) if v else "")
+                for p, v in zip(self.primes, self.verdicts)]
 
     @property
     def qualifying(self) -> list[int]:
-        return [r.p for r in self.rows if r.qualifying]
+        return [p for p, v in zip(self.primes, self.verdicts) if not v]
 
     @property
     def count(self) -> int:
-        return sum(1 for r in self.rows if r.qualifying)
+        return self.verdicts.count(0)
 
     @property
     def pi(self) -> int:
-        return len(self.rows)
+        return len(self.primes)
 
     @property
     def ratio(self) -> float:
         return self.count / self.pi if self.pi else 0.0
 
 
-def _sieve_row(p: int) -> SieveRow:
+def _verdict_byte(p: int) -> int:
     # p comes from primes_up_to, whose Eratosthenes list certifies it
-    return SieveRow(p, *_prime_verdict(p))
+    failed = _prime_verdict(p)
+    return 0 if failed is None else 1 + failed
 
 
 def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
@@ -187,7 +229,7 @@ def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     primes = primes_up_to(limit)
-    return SieveResult(limit=limit, rows=run_tasks(_sieve_row, primes, jobs))
+    return SieveResult(limit, primes, bytes(run_tasks(_verdict_byte, primes, jobs)))
 
 
 def sieve_to_csv(res: SieveResult) -> str:

@@ -164,32 +164,18 @@ def powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
 
 
 def _cubic_pow_mod(e: int, h, p: int) -> tuple[int, int, int]:
-    """x^e mod the monic cubic h over F_p, the sieve's hot loop, as three
-    reduced coefficients.  Left to right from x itself, the leading bit of
-    e, so every multiply is by x: a shift plus one fold of x^3.  With x^3
-    == r0 + r1*x + r2*x^2, r_i = -h_i, a square's x^4 term is folded into
-    x^3 (x^4 == r0*x + r1*x^2 + r2*x^3) and x^3 into the three low terms,
-    so the power stays on three coefficients and nothing is trimmed or
-    long-divided inside the loop.  The squares are written out because a
-    call per product costs more than the arithmetic.  For a binomial x^3 -
-    c (r1 = r2 = 0, the sieve's three cubics) both folds are one product
-    by c, and a multiply by x is a rotation, written into the same step as
-    the square it follows."""
+    """x^e mod the monic cubic h over F_p, as three reduced coefficients.
+    Left to right from x itself, the leading bit of e, so every multiply is
+    by x: a shift plus one fold of x^3.  With x^3 == r0 + r1*x + r2*x^2,
+    r_i = -h_i, a square's x^4 term is folded into x^3 (x^4 == r0*x +
+    r1*x^2 + r2*x^3) and x^3 into the three low terms, so the power stays
+    on three coefficients and nothing is trimmed or long-divided inside the
+    loop.  The square is written out because a call per product costs more
+    than the arithmetic."""
     if not e:
         return 1, 0, 0
     r0, r1, r2 = -h[0] % p, -h[1] % p, -h[2] % p
     c0, c1, c2 = 0, 1, 0
-    if not r1 and not r2:  # x^3 == r0 and x^4 == r0*x
-        r0x2 = 2 * r0
-        for bit in bin(e)[3:]:
-            c0x2 = c0 + c0
-            if bit == "1":  # the square rotated, its x^2 term times r0
-                c0, c1, c2 = (r0 * (c1 * c1 + c0x2 * c2) % p, (c0 * c0 + r0x2 * c1 * c2) % p,
-                              (c0x2 * c1 + r0 * c2 * c2) % p)
-            else:
-                c0, c1, c2 = ((c0 * c0 + r0x2 * c1 * c2) % p, (c0x2 * c1 + r0 * c2 * c2) % p,
-                              (c1 * c1 + c0x2 * c2) % p)
-        return c0, c1, c2
     for bit in bin(e)[3:]:
         d4 = c2 * c2 % p
         d3 = (2 * c1 * c2 + d4 * r2) % p
@@ -208,9 +194,8 @@ def poly_pow_mod(base, e: int, h, p: int) -> list[int]:
 
     h is made monic and need not be irreducible.  x^e mod a cubic whose
     leading coefficient is 1 mod p, with x given as [0, 1], goes straight
-    to _cubic_pow_mod, the sieve's hot loop, before h is normalised or the
-    base divided; every other power is powmod on base's remainder mod the
-    monic h.
+    to _cubic_pow_mod before h is normalised or the base divided; every
+    other power is powmod on base's remainder mod the monic h.
     """
     if e < 0:
         raise ValueError("negative exponent")

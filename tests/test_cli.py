@@ -1087,7 +1087,7 @@ class TestFailedCrossCheck:
         code = cli.main(["sieve", "--limit", "100"])
         self.assert_one_line_exit(
             capsys, code,
-            "internal check failed: splitting and residue formulations disagree at p = 37: ",
+            "internal check failed: reciprocity and residue formulations disagree at p = 37: ",
         )
 
     def test_witness46_with_a_wrong_determinant(self, monkeypatch, capsys):

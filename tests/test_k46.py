@@ -337,12 +337,35 @@ class TestVerdictSampling:
             assert got == expected, f"verdict mismatch at {p}"
 
 
+def cube_table(p) -> int | None:
+    """The first failed cube condition at p = 1 mod 3, from the set of all
+    cubes mod p."""
+    cubes = {x**3 % p for x in range(1, p)}
+    if 2 in cubes:
+        return 0  # "2 is a cube"
+    if 3 in cubes:
+        return 1  # "3 is a cube"
+    return None if 6 in cubes else 2  # "6 is not a cube"
+
+
+def splitting_oracle(p) -> int | None:
+    """The first failed cube condition at p = 1 mod 3, p > 3, by splitting
+    tests: the cube roots of unity lie in F_p and the roots of x^3 - c are one
+    orbit under them, so x^3 - c has no root in F_p, and is irreducible, or
+    three, which it has exactly when x^p == x mod x^3 - c."""
+    x = [0, 1]
+    for failed, c in enumerate((2, 3)):
+        if polys.poly_pow_mod(x, p, [-c, 0, 0, 1], p) == x:
+            return failed
+    return None if polys.poly_pow_mod(x, p, [-6, 0, 0, 1], p) == x else 2
+
+
 class TestSplittingIndependence:
     def test_splitting_route_never_computes_residues(self, monkeypatch):
-        # with every residue computation disabled, the splitting route alone
-        # must still reproduce a brute-force table of cubes
+        # with every residue computation disabled, the reciprocity route
+        # alone must still reproduce a brute-force table of cubes
         def forbidden(*args):
-            raise AssertionError("splitting route reached the residue route")
+            raise AssertionError("reciprocity route reached the residue route")
 
         monkeypatch.setattr(k46, "power_residue", forbidden)
         monkeypatch.setattr(polys, "power_residue", forbidden)
@@ -350,54 +373,65 @@ class TestSplittingIndependence:
         # the discriminant and p mod 3 tests come first in _prime_verdict, so
         # both formulations see only primes p = 1 mod 3 from 7 on
         for p in primes_up_to(2000):
-            if p % 3 != 1:
-                continue
-            cubes = {x**3 % p for x in range(1, p)}
-            if 2 in cubes:
-                want = 0  # "2 is a cube"
-            elif 3 in cubes:
-                want = 1  # "3 is a cube"
-            elif 6 not in cubes:
-                want = 2  # "6 is not a cube"
-            else:
-                want = None
-            assert k46._poly_formulation(p) == want, f"p = {p}"
+            if p % 3 == 1:
+                assert k46._reciprocity_formulation(p) == cube_table(p), f"p = {p}"
+
+    def test_reciprocity_matches_the_splitting_tests_to_1e5(self):
+        for p in primes_up_to(10**5):
+            if p % 3 == 1:
+                assert k46._reciprocity_formulation(p) == splitting_oracle(p), f"p = {p}"
+
+    def test_the_other_square_root_of_minus_3_gives_the_same_verdicts(self, monkeypatch):
+        # -r = 2w^2 + 1 for the other primitive cube root of unity w^2: Euclid
+        # takes another path to (a, b), and the verdict must not move
+        primes = [p for p in primes_up_to(10**4) if p % 3 == 1]
+        want = [k46._reciprocity_formulation(p) for p in primes]
+        sqrt_minus_3 = k46._sqrt_minus_3
+        monkeypatch.setattr(k46, "_sqrt_minus_3", lambda p: p - sqrt_minus_3(p))
+        assert [k46._reciprocity_formulation(p) for p in primes] == want
+        assert all(pow(p - sqrt_minus_3(p), 2, p) == p - 3 for p in primes)
+
+    @pytest.mark.parametrize("root", [1, 2])
+    def test_a_wrong_square_root_fails_the_norm_check(self, monkeypatch, root):
+        # neither 1 nor 2 squares to -3 mod 37, and Euclid on (37, root)
+        # stops at a pair whose norm is not 37
+        monkeypatch.setattr(k46, "_sqrt_minus_3", lambda p: root)
+        with pytest.raises(AssertionError, match=r"a\^2 - ab \+ b\^2 = 37"):
+            k46._reciprocity_formulation(37)
 
     @pytest.mark.parametrize("p", [5, 11])
     def test_cube_conditions_need_p_1_mod_3(self, p):
-        # at p = 2 mod 3 every element is a cube and x^3 - c has exactly one
-        # root, so x^p != x would not mean irreducible
+        # at p = 2 mod 3 every element is a cube, -3 is no square and p is
+        # no a^2 - ab + b^2, so there is no pi to read the characters at
         with pytest.raises(ValueError, match="p = 1 mod 3"):
-            k46._poly_formulation(p)
+            k46._reciprocity_formulation(p)
 
     def test_splitting_calls_count_the_conditions_decided(self, monkeypatch):
-        # the tracer's k46.splitting_calls: one poly_pow_mod per cube
-        # condition decided, up to and including the first that fails, and
-        # no is_irreducible at all
+        # the tracer's k46.splitting_calls: the sieve makes no poly_pow_mod
+        # or is_irreducible call, and each certificate of a qualifying prime
+        # makes two is_irreducible calls, one each for x^3 - 2 and x^3 - 3
         calls = []
-        poly_pow_mod = k46.poly_pow_mod
 
-        def counted(*args):
-            calls.append(args)
-            return poly_pow_mod(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
 
-        def forbidden(*args):
-            raise AssertionError("the splitting route called is_irreducible")
+        monkeypatch.setattr(k46, "poly_pow_mod", counted("poly_pow_mod", k46.poly_pow_mod))
+        monkeypatch.setattr(k46, "is_irreducible", counted("is_irreducible", k46.is_irreducible))
+        res = sieve_qualifying(20000)
+        assert calls == []
+        for p in res.qualifying[:40]:
+            is_qualifying_prime(p)
+        assert calls == ["is_irreducible"] * 80
+        for p in (5, 13, 31, 49):
+            is_qualifying_prime(p)
+        assert len(calls) == 80
 
-        monkeypatch.setattr(k46, "poly_pow_mod", counted)
-        monkeypatch.setattr(k46, "is_irreducible", forbidden)
-        sieve_qualifying(20000)
-        want = 0
-        for p in primes_up_to(20000):
-            if p % 3 != 1:
-                continue
-            # -1 is a cube, so the cubes are those of 1..(p-1)/2 and their negatives
-            half = {x**3 % p for x in range(1, (p + 1) // 2)}
-            cubes = half | {p - c for c in half}
-            if 2 in cubes:
-                want += 1
-            elif 3 in cubes:
-                want += 2
-            else:
-                want += 3
-        assert len(calls) == want
+    def test_certificate_checks_irreducibility(self, monkeypatch):
+        # an is_irreducible that calls x^3 - 3 reducible must stop the
+        # certificate of a prime both formulations pass
+        monkeypatch.setattr(k46, "is_irreducible", lambda h, p: h != k46.X3_MINUS_3)
+        with pytest.raises(AssertionError, match="reducible at qualifying p = 37"):
+            is_qualifying_prime(37)

@@ -194,9 +194,9 @@ class TestCubicPowMod:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_binomial_and_generic_cubics_match_powmod(self, p):
-        # every x^3 + h2*x^2 + h0: the binomials x^3 - c at h2 = 0, and for
-        # h2 != 0 cubics whose x term alone vanishes, which must not take the
-        # binomial loop; then seeded cubics with every coefficient drawn
+        # every x^3 + h2*x^2 + h0: the binomials x^3 - c at h2 = 0, whose
+        # folds are products by c alone, and for h2 != 0 cubics whose x term
+        # alone vanishes; then seeded cubics with every coefficient drawn
         rng = random.Random(200 + p)
         cubics = [[h0, 0, h2, 1] for h0 in range(p) for h2 in range(p)]
         cubics += [[rng.randrange(p) for _ in range(3)] + [1] for _ in range(20)]

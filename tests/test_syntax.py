@@ -52,11 +52,11 @@ def test_every_import_in_src_is_used():
         # perfbench/layers.py rebinds cli.primes_up_to to time the sieve's
         # prime generation, so cli imports it without using it
         "cli.py": ["primes_up_to"],
-        # and it rebinds k46.is_irreducible and k46.make_graph, which
-        # tests/test_trace_sites.py requires to exist, though k46 decides its
-        # cube conditions by poly_pow_mod alone and graphs a witness over
-        # the witness's own field
-        "k46.py": ["is_irreducible", "make_graph"],
+        # and it rebinds k46.make_graph and k46.poly_pow_mod, which
+        # tests/test_trace_sites.py requires to exist, though k46 graphs a
+        # witness over the witness's own field and decides its cube
+        # conditions by cubic reciprocity, with no polynomial power
+        "k46.py": ["make_graph", "poly_pow_mod"],
     }
 
 
