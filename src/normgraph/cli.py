@@ -10,6 +10,7 @@ changes wall time, never output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -31,11 +32,15 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def _emit(lines, output: str | None) -> int:
+    """The one writer: each line and a newline, to the --output file or else
+    to stdout, as `lines` yields it.  Returns how many lines it wrote."""
+    with (open(output, "w", encoding="utf-8") if output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        count = 0
+        for count, line in enumerate(lines, 1):
+            out.write(line + "\n")
+    return count
 
 
 def _usage_error(msg: str) -> int:
@@ -48,17 +53,17 @@ def _usage_error(msg: str) -> int:
 
 def cmd_sieve(args) -> int:
     res = k46.sieve_qualifying(args.limit, jobs=args.jobs)
-    if args.format == "csv":  # the CSV text ends in exactly one newline
-        _emit(k46.sieve_to_csv(res).removesuffix("\n"), args.output)
+    if args.format == "csv":
+        lines = k46.sieve_csv_lines(res)
     elif args.format == "json":
-        _emit(json.dumps(k46.sieve_summary(res), indent=2), args.output)
+        lines = [json.dumps(k46.sieve_summary(res), indent=2)]
     else:
-        lines = [str(p) for p in res.qualifying]
-        lines.append(
+        summary = (
             f"{res.count} qualifying of {res.pi} primes up to {res.limit}; "
             f"ratio {res.ratio:.6f} (target {k46.DENSITY_TARGET:.6f})"
         )
-        _emit("\n".join(lines), args.output)
+        lines = itertools.chain(map(str, res.qualifying), [summary])
+    _emit(lines, args.output)
     return 0
 
 
@@ -122,16 +127,12 @@ def cmd_witness46(args) -> int:
                 f"{'PASS' if ro.passed else 'FAIL'}, vertex set "
                 f"{'identical' if set(wo.B) == canonical else 'DIFFERS'}"
             )
-    if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
-        print("\n".join(lines))
-    elif args.format == "json":
-        print(payload)
+    _emit([payload], args.output)
+    if args.output or args.format == "text":
+        _emit(lines, None)
+    else:
         for ln in lines:
             _note(ln)
-    else:
-        print(payload)
-        print("\n".join(lines))
     return 0 if all_ok else 1
 
 
@@ -190,7 +191,7 @@ def cmd_census(args) -> int:
         "within_bound": within,
     }
     if args.format == "json":
-        _emit(json.dumps(result, indent=2), args.output)
+        lines = [json.dumps(result, indent=2)]
     else:
         lines = [
             f"graph: p={args.p} t={args.t} n={G.n}",
@@ -209,7 +210,7 @@ def cmd_census(args) -> int:
                 f"bound (t-1)! = {bound}: "
                 + ("within bound" if within else "VIOLATED")
             )
-        _emit("\n".join(lines), args.output)
+    _emit(lines, args.output)
     return 0 if (within or not bound_applies) else 1
 
 
@@ -255,7 +256,7 @@ def cmd_verify(args) -> int:
         print(f"witness invalid: {exc}")
         print("result: FAIL")
         return 1
-    print("\n".join(lines))
+    _emit(lines, None)
     return 0 if passed else 1
 
 
@@ -268,17 +269,8 @@ def cmd_export(args) -> int:
         lines = G.edge_lines()  # raises on a graph over the size guard
     except ValueError as exc:
         return _usage_error(str(exc))
-    count = 0
-    try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-                    count += 1
-        else:  # lines printed before a failed check stay printed
-            for line in lines:
-                print(line)
-                count += 1
+    try:  # lines printed before a failed check stay printed
+        count = _emit(lines, args.output)
         if 2 * count != G.degree_sum():
             raise AssertionError(f"{count} edges, not half the degree sum {G.degree_sum()}")
     except AssertionError:
@@ -325,16 +317,15 @@ def cmd_witness_general(args) -> int:
         payloads.append(general.general_witness_to_json(w, report.passed))
     if not payloads:
         return 1
-    body = payloads if args.all else payloads[0]
     if args.format == "text":
-        lines = [
+        lines = (
             f"t={d['t']} m={d['m']} p={d['p']} r={d['r']} "
             f"verified={d['verified']}"
             for d in payloads
-        ]
-        _emit("\n".join(lines), args.output)
+        )
     else:
-        _emit(json.dumps(body, indent=2), args.output)
+        lines = [json.dumps(payloads if args.all else payloads[0], indent=2)]
+    _emit(lines, args.output)
     return 0 if all_ok else 1
 
 

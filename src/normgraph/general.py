@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import polys
-from .ff import ExtElement, ExtField
+from .ff import ExtField
 from .graph import (
     GENERAL_KEYS,
     MAX_T,
@@ -51,7 +51,6 @@ class GeneralWitness(NamedTuple):
     field: ExtField
     A: list[Vertex]  # t-1 vertices (zeta^k, 1) for k = 1..t-2, plus (0, 1)
     B: list[Vertex]  # m vertices (-alpha_i, theta_i - r)
-    alphas: list[ExtElement]
 
 
 def shifted_poly(t: int, theta: int, r: int, p: int) -> list[int]:
@@ -142,7 +141,7 @@ def build_general_witness(params: GeneralParams, seed: int = 0) -> GeneralWitnes
     ids = {(v.alpha, v.a) for v in A + B}
     if len(ids) != len(A) + len(B):
         raise AssertionError("witness vertices are not pairwise distinct")
-    return GeneralWitness(params=params, field=field, A=A, B=B, alphas=alphas)
+    return GeneralWitness(params=params, field=field, A=A, B=B)
 
 
 def verify_general_witness(w: GeneralWitness) -> WitnessReport:
@@ -220,5 +219,4 @@ def witness_from_sides(data: dict, A: list[Vertex], B: list[Vertex]) -> GeneralW
     params = params._replace(thetas=tuple(params.thetas))
     t, p = params.t, params.p
     field = make_graph(p, t, shifted_poly(t, params.thetas[0], params.r, p)).field
-    alphas = [field.neg(v.alpha) for v in B]
-    return GeneralWitness(params=params, field=field, A=A, B=B, alphas=alphas)
+    return GeneralWitness(params=params, field=field, A=A, B=B)

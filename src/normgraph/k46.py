@@ -137,26 +137,31 @@ def qualifying_verdict(p: int) -> tuple[bool, str]:
     are evaluated and must agree on the first failed cube condition."""
     if not is_prime(p):
         return False, f"{p} is not prime"
-    failed = _prime_verdict(p)
-    return (True, "") if failed is None else (False, REASONS[failed].format(p=p))
+    v = _prime_verdict(p)
+    return not v, _reason(p, v)
 
 
-def _prime_verdict(p: int) -> int | None:
-    # the failed REASONS index, or None, for a p already known to be prime.
-    # 26244 = 2^2 3^8 and 248832 = 2^10 3^5, so a prime divides one exactly
-    # when it divides the other; that and p mod 3 are tested once, before
-    # either formulation
+def _prime_verdict(p: int) -> int:
+    # the verdict byte of a p already known to be prime: 0 if it qualifies,
+    # else 1 + the failed REASONS index.  26244 = 2^2 3^8 and 248832 =
+    # 2^10 3^5, so a prime divides one exactly when it divides the other;
+    # that and p mod 3 are tested once, before either formulation
     if not (PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p):
-        return 0
-    if p % 3 != 1:
         return 1
+    if p % 3 != 1:
+        return 2
     cube, residue_cube = _reciprocity_formulation(p), _residue_formulation(p)
     if cube != residue_cube:
         raise AssertionError(
             f"reciprocity and residue formulations disagree at p = {p}: "
             f"first failed cube condition {cube} vs {residue_cube}"
         )
-    return None if cube is None else 2 + cube
+    return 0 if cube is None else 3 + cube
+
+
+def _reason(p: int, v: int) -> str:
+    """The reason text of verdict byte v at p, empty when p qualifies."""
+    return REASONS[v - 1].format(p=p) if v else ""
 
 
 def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
@@ -198,8 +203,7 @@ class SieveResult(NamedTuple):
     @property
     def rows(self) -> list[SieveRow]:
         """One row per prime, its reason text formatted on demand."""
-        return [SieveRow(p, not v, REASONS[v - 1].format(p=p) if v else "")
-                for p, v in zip(self.primes, self.verdicts)]
+        return [SieveRow(p, not v, _reason(p, v)) for p, v in zip(self.primes, self.verdicts)]
 
     @property
     def qualifying(self) -> list[int]:
@@ -218,25 +222,21 @@ class SieveResult(NamedTuple):
         return self.count / self.pi if self.pi else 0.0
 
 
-def _verdict_byte(p: int) -> int:
-    # p comes from primes_up_to, whose Eratosthenes list certifies it
-    failed = _prime_verdict(p)
-    return 0 if failed is None else 1 + failed
-
-
 def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
     """Verdict for every prime <= limit, both formulations cross-checked."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
+    # primes_up_to's Eratosthenes list certifies each p that _prime_verdict takes
     primes = primes_up_to(limit)
-    return SieveResult(limit, primes, bytes(run_tasks(_verdict_byte, primes, jobs)))
+    return SieveResult(limit, primes, bytes(run_tasks(_prime_verdict, primes, jobs)))
 
 
-def sieve_to_csv(res: SieveResult) -> str:
-    lines = ["p,qualifying,reason"]
-    for r in res.rows:
-        lines.append(f"{r.p},{1 if r.qualifying else 0},{r.reason}")
-    return "\n".join(lines) + "\n"
+def sieve_csv_lines(res: SieveResult):
+    """The sieve as CSV lines, the header first: each line is formatted from
+    its prime and verdict byte as it is read, and no row is built."""
+    yield "p,qualifying,reason"
+    for p, v in zip(res.primes, res.verdicts):
+        yield f"{p},{0 if v else 1},{_reason(p, v)}"
 
 
 def sieve_summary(res: SieveResult) -> dict:

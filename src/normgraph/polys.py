@@ -76,18 +76,6 @@ def poly_sub(a, b, p: int) -> list[int]:
     return poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def poly_mul(a, b, p: int) -> list[int]:
-    a, b = _norm(a, p), _norm(b, p)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
-
-
 def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
     a, b = _norm(a, p), _norm(b, p)
     if not b:

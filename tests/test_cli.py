@@ -216,6 +216,21 @@ class TestSieve:
         }
         assert len(outs) == 1
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_csv_streams_below_30_mb_at_1e6(self):
+        # the wrapper's only child is the sieve, so RUSAGE_CHILDREN holds that
+        # run's peak; streamed, the 78,499 CSV lines peak near 20 MB, and
+        # built as one string near 41 MB
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'normgraph', 'sieve', '--limit', '1000000',"
+            " '--format', 'csv', '--jobs', '1'], stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert int(r.stdout) / 1024 < 30
+
 
 class TestWitness46:
     def test_default_prime_seven(self):
@@ -1330,3 +1345,32 @@ class TestOneFieldPerWitness:
         assert cli.main(["verify", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
         assert moduli == [[-2 % 37, 0, 0, 1]]
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve", "--limit", "3000"],
+            ["sieve", "--limit", "3000", "--format", "csv"],
+            ["sieve", "--limit", "3000", "--format", "json"],
+            ["census", "--p", "3", "--t", "4", "--k", "3"],
+            ["census", "--p", "3", "--t", "4", "--k", "3", "--format", "json"],
+            ["witness-general", "--t", "4", "--m", "2", "--limit", "60", "--all"],
+            ["witness-general", "--t", "4", "--m", "2", "--limit", "60", "--all", "--format", "text"],
+            ["export", "--p", "3", "--t", "3"],
+            ["witness46", "--format", "json"],
+        ],
+        ids=["sieve-text", "sieve-csv", "sieve-json", "census-text", "census-json",
+             "witness-general-json", "witness-general-text", "export", "witness46-json"],
+    )
+    def test_output_file_holds_the_printed_bytes(self, tmp_path, argv):
+        # one writer serves stdout and --output, so the file holds the bytes
+        # that the same run prints to stdout without --output
+        out = tmp_path / "out"
+        printed = subprocess.run([sys.executable, "-m", "normgraph", *argv], capture_output=True)
+        written = subprocess.run(
+            [sys.executable, "-m", "normgraph", *argv, "--output", str(out)], capture_output=True
+        )
+        assert printed.returncode == written.returncode == 0
+        assert printed.stdout and out.read_bytes() == printed.stdout

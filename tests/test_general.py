@@ -24,6 +24,11 @@ def pairs(results):
     return [(g.p, g.r) for g in results]
 
 
+def alphas(w):
+    """The roots alpha_i, read from the B vertices (-alpha_i, theta_i - r)."""
+    return [w.field.neg(v.alpha) for v in w.B]
+
+
 def count_scans(monkeypatch) -> list[int]:
     """Record the prime of every in-process general._scan_prime call."""
     scanned, scan = [], general._scan_prime
@@ -131,17 +136,17 @@ class TestBuildWitness:
             Vertex((1, 0, 0), 1),
             Vertex((0, 0, 0), 1),
         ]
-        assert w.alphas[0] == w.field.gen
+        assert alphas(w)[0] == w.field.gen
         assert w.B[0] == Vertex(w.field.neg(w.field.gen), 14)  # 6 - 9 = -3
         assert w.B[1].a == 2  # 11 - 9
         # the second root solves x^3 - x + 2 over the extension
         h2 = shifted_poly(4, 11, 9, 17)
-        assert eval_in_ext(h2, w.alphas[1], w.field) == w.field.zero
+        assert eval_in_ext(h2, alphas(w)[1], w.field) == w.field.zero
 
     def test_first_modulus_is_first_shift(self):
         w = build_general_witness(self.params_17_9())
         assert list(w.field.modulus) == shifted_poly(4, 6, 9, 17)
-        assert eval_in_ext(w.field.modulus, w.alphas[0], w.field) == w.field.zero
+        assert eval_in_ext(w.field.modulus, alphas(w)[0], w.field) == w.field.zero
 
     def test_m1_witness_shape(self):
         g = find_parameters(4, 1, 7)[4]
@@ -226,7 +231,7 @@ class TestVerifyWitness:
         for _ in range(100):
             c = rng.randrange(17)
             ce = w.field.from_base(c)
-            for alpha, th in zip(w.alphas, w.params.thetas):
+            for alpha, th in zip(alphas(w), w.params.thetas):
                 h = shifted_poly(4, th, 9, 17)
                 assert w.field.norm(w.field.sub(ce, alpha)) == poly_eval(h, c, 17)
 
@@ -362,9 +367,7 @@ class TestIdentityLayer:
         field = ExtField(p, 3, shifted_poly(4, 6, r, p))
         A = [Vertex(field.from_base(c), 1) for c in (16, 1, 0)]
         B = [Vertex(field.neg(field.gen), 5), Vertex(field.from_base(-x0), 10)]
-        report = verify_general_witness(
-            general.GeneralWitness(params, field, A, B, [field.gen, field.from_base(x0)])
-        )
+        report = verify_general_witness(general.GeneralWitness(params, field, A, B))
         assert [msg.split(":")[:2] for msg in report.identity_failures] == [
             [f"identity fails for B[1] at c = {c}", " h irreducible False, h(alpha) = 0 True, "
              "evaluation 10, second coordinate 10, expected 10"]
@@ -406,7 +409,7 @@ class TestSerialization:
         w, data = self.make()
         back = general_witness_from_json(data)
         assert back.A == w.A and back.B == w.B
-        assert back.alphas == w.alphas
+        assert back.field.modulus == w.field.modulus
         assert verify_general_witness(back).passed
 
     def test_missing_key_rejected(self):

@@ -1,5 +1,4 @@
 import csv
-import io
 import itertools
 import random
 from collections import Counter
@@ -17,9 +16,9 @@ from normgraph.k46 import (
     build_witness,
     is_qualifying_prime,
     qualifying_verdict,
+    sieve_csv_lines,
     sieve_qualifying,
     sieve_summary,
-    sieve_to_csv,
     verify_witness,
     witness_graph,
 )
@@ -132,7 +131,7 @@ class TestSieve:
 
     def test_csv_roundtrip(self):
         res = sieve_qualifying(100)
-        header, *rows = csv.reader(io.StringIO(sieve_to_csv(res)))
+        header, *rows = csv.reader(sieve_csv_lines(res))
         assert header == ["p", "qualifying", "reason"]
         back = [SieveRow(int(p), q == "1", reason) for p, q, reason in rows]
         assert back == res.rows

@@ -66,8 +66,6 @@ TEST_ONLY = {
     "and the acceptance gate hold the two routes that ExtField.norm runs",
     "NormGraph.common_neighbors": "the acceptance gate compares the witness's right side "
     "with it, and the tests check census counts and witness maximality with it",
-    "poly_mul": "products mod h go through mulmod; the tests check mulmod, powmod and the "
-    "Frobenius matrix against poly_divmod(poly_mul(a, b, p), h, p)",
 }
 
 def test_every_function_in_src_is_used():
