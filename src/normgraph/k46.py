@@ -9,6 +9,7 @@ subgraph, verified both as graph adjacencies and as closed-form identities.
 
 from __future__ import annotations
 
+from array import array
 from math import isqrt
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ from .ff import ExtElement, ExtField, fp_inv
 # make_graph and poly_pow_mod are unused here; perfbench/layers.py rebinds
 # k46.make_graph and k46.poly_pow_mod
 from .graph import NormGraph, Vertex, WitnessReport, make_graph  # noqa: F401
-from .parallel import run_tasks
+from .parallel import run_tasks, worker_count
 from .polys import (
     discriminant,
     int_poly_mul,
@@ -73,36 +74,27 @@ class DegeneracyError(ValueError):
     """Witness vertices collided or a second coordinate vanished."""
 
 
-def _sqrt_minus_3(p: int) -> int:
-    """A square root of -3 mod p = 1 mod 3: 2w + 1 for the primitive cube
-    root of unity w = g^((p-1)/3), g the least base from 2 on whose power is
-    not 1, as (2w + 1)^2 = 4(w^2 + w + 1) - 3."""
-    e = (p - 1) // 3
-    g = 2
-    while (w := pow(g, e, p)) == 1:
-        g += 1
-    return (2 * w + 1) % p
-
-
-def _reciprocity_formulation(p: int) -> int | None:
+def _reciprocity_formulation(p: int, r: int) -> int | None:
     """Index of the first cube condition that fails, by cubic reciprocity,
     or None: 2 and 3 not cubes mod p, and 6 one (Ireland and Rosen, A
-    Classical Introduction to Modern Number Theory, ch. 9).
+    Classical Introduction to Modern Number Theory, ch. 9).  r is a square
+    root of -3 mod p.
 
     p = 1 mod 3 splits in Z[w] as p = a^2 - ab + b^2 = N(a + bw), and
     Z[w]/(pi) = F_p for pi = a + bw, so c is a cube mod p exactly when the
     cubic residue character chi_pi(c) is 1.  (a, b) comes from Cornacchia's
-    algorithm on x^2 + 3y^2 = p with a square root r of -3: Euclid on (p, r)
-    down to the first remainder x below sqrt(p), then y^2 = (p - x^2)/3 and
-    (a, b) = (x + y, 2y).  a^2 - ab + b^2 == p certifies the pair, so the
-    verdict rests on (a, b) alone and not on r.  Of pi's six associates one
-    is primary, a = 2 and b = 0 mod 3; for it, with b = 3n, reciprocity
-    gives chi_pi(2) = chi_2(pi), the cube root of unity = pi mod 2, and the
-    supplementary law chi_pi(3) = w^(2n).  6 is a cube when the two
-    exponents sum to 0 mod 3.  ValueError unless p = 1 mod 3 and p > 3."""
+    algorithm on x^2 + 3y^2 = p: Euclid on (p, r mod p) down to the first
+    remainder x below sqrt(p), then y^2 = (p - x^2)/3 and (a, b) =
+    (x + y, 2y).  a^2 - ab + b^2 == p certifies the pair, so the verdict
+    rests on (a, b) alone and not on r, and a wrong r raises.  Of pi's six
+    associates one is primary, a = 2 and b = 0 mod 3; for it, with b = 3n,
+    reciprocity gives chi_pi(2) = chi_2(pi), the cube root of unity = pi
+    mod 2, and the supplementary law chi_pi(3) = w^(2n).  6 is a cube when
+    the two exponents sum to 0 mod 3.  ValueError unless p = 1 mod 3 and
+    p > 3."""
     if p % 3 != 1 or p <= 3:
         raise ValueError(f"the cube conditions are decided only for primes p = 1 mod 3, got {p}")
-    u, x = p, _sqrt_minus_3(p)
+    u, x = p, r % p
     while x * x > p:
         u, x = x, u % x
     y = isqrt((p - x * x) // 3)
@@ -123,13 +115,15 @@ def _reciprocity_formulation(p: int) -> int | None:
     return None if (two + three) % 3 == 0 else 2
 
 
-def _residue_formulation(p: int) -> int | None:
-    """The same index from exponentiations instead of factoring."""
-    if power_residue(2, 3, p):
+def _residue_formulation(two: int, three: int, p: int) -> int | None:
+    """The same index by Euler's criterion, from two = 2^e and three = 3^e
+    mod p, e = (p - 1)/3: c is a cube mod p exactly when c^e = 1, and
+    6^e = two * three."""
+    if two == 1:
         return 0
-    if power_residue(3, 3, p):
+    if three == 1:
         return 1
-    return None if power_residue(6, 3, p) else 2
+    return None if two * three % p == 1 else 2
 
 
 def qualifying_verdict(p: int) -> tuple[bool, str]:
@@ -145,12 +139,27 @@ def _prime_verdict(p: int) -> int:
     # the verdict byte of a p already known to be prime: 0 if it qualifies,
     # else 1 + the failed REASONS index.  26244 = 2^2 3^8 and 248832 =
     # 2^10 3^5, so a prime divides one exactly when it divides the other;
-    # that and p mod 3 are tested once, before either formulation
+    # that and p mod 3 are tested once, before either formulation.  Both
+    # read the powers 2^e and 3^e: the residue route as Euler's criterion,
+    # the reciprocity route through r = 2w + 1, a square root of -3 as
+    # (2w + 1)^2 = 4(w^2 + w + 1) - 3, for w the first of 2^e, 3^e, 4^e, ...
+    # that is not 1, a primitive cube root of unity
     if not (PRODUCT_DISC % p or WITNESS_CUBIC_DISC % p):
         return 1
     if p % 3 != 1:
         return 2
-    cube, residue_cube = _reciprocity_formulation(p), _residue_formulation(p)
+    e = (p - 1) // 3
+    two, three = pow(2, e, p), pow(3, e, p)
+    if two != 1:
+        w = two
+    elif three != 1:
+        w = three
+    else:
+        g = 4
+        while (w := pow(g, e, p)) == 1:
+            g += 1
+    cube = _reciprocity_formulation(p, 2 * w + 1)
+    residue_cube = _residue_formulation(two, three, p)
     if cube != residue_cube:
         raise AssertionError(
             f"reciprocity and residue formulations disagree at p = {p}: "
@@ -169,9 +178,11 @@ def is_qualifying_prime(p: int) -> QualifyingCertificate | Rejection:
     ok, reason = qualifying_verdict(p)
     if not ok:
         return Rejection(p, reason)
-    # the verdict decided the cube conditions by reciprocity and residues;
-    # the certificate confirms the first two by factoring, and the third by
-    # the cube roots of 6 below
+    # the verdict decided the cube conditions by reciprocity and from shared
+    # powers; the certificate confirms all three by Euler's criterion, the
+    # first two by factoring, and the third by the cube roots of 6 below
+    if power_residue(2, 3, p) or power_residue(3, 3, p) or not power_residue(6, 3, p):
+        raise AssertionError(f"Euler's criterion fails a cube condition at qualifying p = {p}")
     if not (is_irreducible(X3_MINUS_2, p) and is_irreducible(X3_MINUS_3, p)):
         raise AssertionError(f"x^3 - 2 or x^3 - 3 is reducible at qualifying p = {p}")
     # Cardano: x = y - 7 turns the cubic into y^3 - 144y + 672, whose roots
@@ -196,7 +207,7 @@ class SieveRow(NamedTuple):
 
 class SieveResult(NamedTuple):
     limit: int
-    primes: list[int]
+    primes: array  # array('I') of the primes <= limit, ascending
     # one byte per prime: 0 if it qualifies, else 1 + its REASONS index
     verdicts: bytes
 
@@ -226,9 +237,20 @@ def sieve_qualifying(limit: int, jobs: int = 1) -> SieveResult:
     """Verdict for every prime <= limit, both formulations cross-checked."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    # primes_up_to's Eratosthenes list certifies each p that _prime_verdict takes
+    # primes_up_to's Eratosthenes table certifies each p that _prime_verdict
+    # takes.  The pool gets contiguous slices of it, four per worker so that
+    # uneven slices keep each one busy, and one slice when there is no pool
     primes = primes_up_to(limit)
-    return SieveResult(limit, primes, bytes(run_tasks(_prime_verdict, primes, jobs)))
+    workers = worker_count(jobs, len(primes))
+    pieces = 4 * workers if workers > 1 else 1
+    bounds = [len(primes) * i // pieces for i in range(pieces + 1)]
+    slices = [primes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return SieveResult(limit, primes, b"".join(run_tasks(_slice_verdicts, slices, jobs)))
+
+
+def _slice_verdicts(primes: array) -> bytes:
+    """The verdict bytes of a slice of the prime table, in its order."""
+    return bytes(map(_prime_verdict, primes))
 
 
 def sieve_csv_lines(res: SieveResult):

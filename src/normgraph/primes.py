@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
+
 # Miller-Rabin to these twelve bases is deterministic below PSI_12, the
 # smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
 # Comp. 86, 2017): PSI_12 = 399165290221 * 798330580441 passes every base.
@@ -37,25 +40,26 @@ def is_prime(n: int) -> bool:
 
 
 # primes_up_to refuses limits above this before it allocates its limit + 1
-# byte table.  The bound is the desk scale: sieve_qualifying(10^7) peaks near
-# 55 MB and takes about 3 s on one core, both growing linearly.
+# byte table.  The bound is the desk scale: sieve --limit 10^7 peaks near
+# 30 MB and takes 2.1-2.5 s on one core, both growing linearly.
 SIEVE_LIMIT = 10**7
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending (Eratosthenes)."""
+def primes_up_to(limit: int) -> array:
+    """All primes <= limit, ascending (Eratosthenes), packed four bytes
+    each in an array('I')."""
     if limit > SIEVE_LIMIT:
         raise ValueError(f"limit {limit} is above the sieve bound {SIEVE_LIMIT}")
     if limit < 2:
-        return []
+        return array("I")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     i = 2
     while i * i <= limit:
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
         i += 1
-    return [i for i, flag in enumerate(sieve) if flag]
+    return array("I", compress(range(limit + 1), sieve))
 
 
 def prime_factors(n: int) -> list[int]:

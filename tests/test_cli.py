@@ -1095,9 +1095,10 @@ class TestFailedCrossCheck:
 
     def test_sieve_with_a_lying_residue_route(self, monkeypatch, capsys):
         # the residue route calls 2 a cube mod 37, a qualifying prime
-        power_residue = k46.power_residue
+        residue = k46._residue_formulation
         monkeypatch.setattr(
-            k46, "power_residue", lambda a, m, p: (a, p) == (2, 37) or power_residue(a, m, p)
+            k46, "_residue_formulation",
+            lambda two, three, p: 0 if p == 37 else residue(two, three, p),
         )
         code = cli.main(["sieve", "--limit", "100"])
         self.assert_one_line_exit(

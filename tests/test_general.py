@@ -97,7 +97,7 @@ class TestFindParameters:
         assert find_parameters(4, 2, 2000, max_results=n) == full[:n]
         # the scan stops at 313, the 65th prime, where result n is found
         assert full[n - 1].p == 313
-        assert scanned == primes_up_to(2000)[:65]
+        assert scanned == list(primes_up_to(2000)[:65])
 
     def test_first_result_stops_at_its_prime(self, monkeypatch):
         # (17, 8) is found at 17, the 7th prime, and the scan stops there
@@ -108,7 +108,7 @@ class TestFindParameters:
     def test_all_is_one_pass(self, monkeypatch):
         scanned = count_scans(monkeypatch)
         find_parameters(4, 2, 700)
-        assert scanned == primes_up_to(700)
+        assert scanned == list(primes_up_to(700))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import csv
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -128,6 +128,24 @@ class TestSieve:
         base = sieve_qualifying(2000, jobs=1)
         for jobs in (2, 8):
             assert sieve_qualifying(2000, jobs=jobs).rows == base.rows
+
+    def test_uneven_slices_join_in_order(self, monkeypatch):
+        # the 303 primes up to 2000 cut into slices of 37 and 38 for two
+        # workers; cut so on a machine of any size and run serially, and
+        # on a pool where there are two CPUs, they give --jobs 1's bytes
+        base = sieve_qualifying(2000, jobs=1)
+        assert len(base.verdicts) == base.pi == 303
+        assert sieve_qualifying(2000, jobs=2).verdicts == base.verdicts
+        sizes = []
+
+        def serial(fn, tasks, jobs):
+            sizes.extend(map(len, tasks))
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(k46, "worker_count", lambda jobs, total: 2)
+        monkeypatch.setattr(k46, "run_tasks", serial)
+        assert sieve_qualifying(2000, jobs=2).verdicts == base.verdicts
+        assert sizes == [37] + [38] * 7
 
     def test_csv_roundtrip(self):
         res = sieve_qualifying(100)
@@ -359,7 +377,37 @@ def splitting_oracle(p) -> int | None:
     return None if polys.poly_pow_mod(x, p, [-6, 0, 0, 1], p) == x else 2
 
 
+def least_cube_roots_of_unity(limit) -> dict[int, int]:
+    """p -> the least primitive cube root of unity w mod p, for each prime
+    p = 1 mod 3 up to limit, with no power taken: walk x = 1, 2, ... and
+    divide out of x^2 + x + 1 each prime already found to divide it.  What
+    is left is 1 or a new prime q with least root x, as q > x and so two
+    such primes would exceed x^2 + x + 1.  q divides again at x + kq and at
+    q - 1 - x + kq, its other root.  w^2 + w + 1 = 0 is w^3 = 1, w != 1,
+    and the least root is below p/2."""
+    roots = {}
+    due = defaultdict(list)  # x -> the primes found so far that divide x^2 + x + 1
+    for x in range(1, limit // 2 + 1):
+        n = x * x + x + 1
+        for q in due.pop(x, ()):
+            while n % q == 0:
+                n //= q
+            due[x + q].append(q)
+        if n > 1:
+            roots[n] = x
+            due[x + n].append(n)
+            if n - 1 - x != x:
+                due[n - 1 - x].append(n)
+    return {p: w for p, w in sorted(roots.items()) if p <= limit and p % 3 == 1}
+
+
 class TestSplittingIndependence:
+    def test_least_cube_roots_of_unity_by_search(self):
+        roots = least_cube_roots_of_unity(3000)
+        assert list(roots) == [p for p in primes_up_to(3000) if p % 3 == 1]
+        for p, w in roots.items():
+            assert w == next(x for x in range(2, p) if (x * x + x + 1) % p == 0), f"p = {p}"
+
     def test_splitting_route_never_computes_residues(self, monkeypatch):
         # with every residue computation disabled, the reciprocity route
         # alone must still reproduce a brute-force table of cubes
@@ -371,39 +419,57 @@ class TestSplittingIndependence:
         monkeypatch.setattr(polys, "fp_pow", forbidden)
         # the discriminant and p mod 3 tests come first in _prime_verdict, so
         # both formulations see only primes p = 1 mod 3 from 7 on
+        for p, w in least_cube_roots_of_unity(2000).items():
+            assert k46._reciprocity_formulation(p, 2 * w + 1) == cube_table(p), f"p = {p}"
+
+    def test_residue_route_matches_a_table_of_cubes(self):
         for p in primes_up_to(2000):
             if p % 3 == 1:
-                assert k46._reciprocity_formulation(p) == cube_table(p), f"p = {p}"
+                e = (p - 1) // 3
+                got = k46._residue_formulation(pow(2, e, p), pow(3, e, p), p)
+                assert got == cube_table(p), f"p = {p}"
+
+    def test_the_verdict_hands_reciprocity_a_square_root_of_minus_3(self, monkeypatch):
+        # r = 2w + 1 comes from the residue route's powers: w is 2^e but at
+        # the 46 primes where 2 is a cube, 31 the first, and it is no
+        # power of 2 or 3 at the 12 where 3 is a cube too, 307 the first
+        seen = {}
+        reciprocity = k46._reciprocity_formulation
+
+        def spy(p, r):
+            seen[p] = r
+            return reciprocity(p, r)
+
+        monkeypatch.setattr(k46, "_reciprocity_formulation", spy)
+        sieve_qualifying(2000)
+        assert list(seen) == [p for p in primes_up_to(2000) if p % 3 == 1 and p > 3]
+        assert all((r * r + 3) % p == 0 for p, r in seen.items())
 
     def test_reciprocity_matches_the_splitting_tests_to_1e5(self):
-        for p in primes_up_to(10**5):
-            if p % 3 == 1:
-                assert k46._reciprocity_formulation(p) == splitting_oracle(p), f"p = {p}"
+        for p, w in least_cube_roots_of_unity(10**5).items():
+            assert k46._reciprocity_formulation(p, 2 * w + 1) == splitting_oracle(p), f"p = {p}"
 
-    def test_the_other_square_root_of_minus_3_gives_the_same_verdicts(self, monkeypatch):
+    def test_the_other_square_root_of_minus_3_gives_the_same_verdicts(self):
         # -r = 2w^2 + 1 for the other primitive cube root of unity w^2: Euclid
         # takes another path to (a, b), and the verdict must not move
-        primes = [p for p in primes_up_to(10**4) if p % 3 == 1]
-        want = [k46._reciprocity_formulation(p) for p in primes]
-        sqrt_minus_3 = k46._sqrt_minus_3
-        monkeypatch.setattr(k46, "_sqrt_minus_3", lambda p: p - sqrt_minus_3(p))
-        assert [k46._reciprocity_formulation(p) for p in primes] == want
-        assert all(pow(p - sqrt_minus_3(p), 2, p) == p - 3 for p in primes)
+        for p, w in least_cube_roots_of_unity(10**4).items():
+            r = 2 * w + 1
+            assert (r * r + 3) % p == 0
+            assert k46._reciprocity_formulation(p, -r) == k46._reciprocity_formulation(p, r)
 
     @pytest.mark.parametrize("root", [1, 2])
-    def test_a_wrong_square_root_fails_the_norm_check(self, monkeypatch, root):
+    def test_a_wrong_square_root_fails_the_norm_check(self, root):
         # neither 1 nor 2 squares to -3 mod 37, and Euclid on (37, root)
         # stops at a pair whose norm is not 37
-        monkeypatch.setattr(k46, "_sqrt_minus_3", lambda p: root)
         with pytest.raises(AssertionError, match=r"a\^2 - ab \+ b\^2 = 37"):
-            k46._reciprocity_formulation(37)
+            k46._reciprocity_formulation(37, root)
 
     @pytest.mark.parametrize("p", [5, 11])
     def test_cube_conditions_need_p_1_mod_3(self, p):
         # at p = 2 mod 3 every element is a cube, -3 is no square and p is
         # no a^2 - ab + b^2, so there is no pi to read the characters at
         with pytest.raises(ValueError, match="p = 1 mod 3"):
-            k46._reciprocity_formulation(p)
+            k46._reciprocity_formulation(p, 1)
 
     def test_splitting_calls_count_the_conditions_decided(self, monkeypatch):
         # the tracer's k46.splitting_calls: the sieve makes no poly_pow_mod
@@ -427,6 +493,14 @@ class TestSplittingIndependence:
         for p in (5, 13, 31, 49):
             is_qualifying_prime(p)
         assert len(calls) == 80
+
+    def test_certificate_checks_eulers_criterion(self, monkeypatch):
+        # a power_residue that calls 6 no cube must stop the certificate of
+        # a prime both formulations pass
+        residue = k46.power_residue
+        monkeypatch.setattr(k46, "power_residue", lambda a, m, p: a != 6 and residue(a, m, p))
+        with pytest.raises(AssertionError, match="Euler's criterion .* qualifying p = 37"):
+            is_qualifying_prime(37)
 
     def test_certificate_checks_irreducibility(self, monkeypatch):
         # an is_irreducible that calls x^3 - 3 reducible must stop the
