@@ -5,6 +5,14 @@ Exit codes: 0 success/verified, 1 mathematical failure (failed check or
 cross-check, non-qualifying prime, bound violation, empty search), 2 usage
 or input error.  Every subcommand is deterministic given its flags; --jobs
 changes wall time, never output bytes.
+
+main alone maps exceptions to exit codes: a bad flag before any work, or a
+ValueError or OSError, is exit 2 with one `error:` line; an AssertionError
+is exit 1 (`internal check failed:`).  A subcommand catches only where the
+outcome differs: verify's read and JSON stages name the path or say
+`malformed JSON`; its mathematical stage prints `result: FAIL`, exit 1;
+witness-general notes a failed build and goes on; witness46's
+DegeneracyError, a ValueError, is exit 1; export removes a partial --output.
 """
 
 from __future__ import annotations
@@ -100,15 +108,16 @@ def _check_lines(report: WitnessReport) -> list[str]:
 
 
 def cmd_witness46(args) -> int:
-    p = 7 if args.p is None else args.p
-    cert = k46.is_qualifying_prime(p)
+    cert = k46.is_qualifying_prime(args.p)
     if isinstance(cert, k46.Rejection):
         print(f"not qualifying: {cert.reason}")
         return 1
-    try:
+    orders = itertools.permutations(range(3)) if args.all_orderings else ()
+    try:  # a DegeneracyError is a ValueError, which main would call exit 2
         w = k46.build_witness(cert)
+        reordered = [(order, k46.build_witness(cert, root_order=order)) for order in orders]
     except k46.DegeneracyError as exc:
-        print(f"degenerate witness: {exc}", file=sys.stderr)
+        _note(f"degenerate witness: {exc}")
         return 1
     report = k46.verify_witness(w)
     payload = json.dumps(
@@ -116,23 +125,20 @@ def cmd_witness46(args) -> int:
     )
     lines = _check_lines(report)
     all_ok = report.passed
-    if args.all_orderings:
-        canonical = set(w.B)
-        for order in itertools.permutations(range(3)):
-            wo = k46.build_witness(cert, root_order=order)
-            ro = k46.verify_witness(wo)
-            all_ok = all_ok and ro.passed and set(wo.B) == canonical
-            lines.append(
-                f"root ordering {order}: "
-                f"{'PASS' if ro.passed else 'FAIL'}, vertex set "
-                f"{'identical' if set(wo.B) == canonical else 'DIFFERS'}"
-            )
+    canonical = set(w.B)
+    for order, wo in reordered:
+        ro = k46.verify_witness(wo)
+        all_ok = all_ok and ro.passed and set(wo.B) == canonical
+        lines.append(
+            f"root ordering {order}: "
+            f"{'PASS' if ro.passed else 'FAIL'}, vertex set "
+            f"{'identical' if set(wo.B) == canonical else 'DIFFERS'}"
+        )
     _emit([payload], args.output)
     if args.output or args.format == "text":
         _emit(lines, None)
     else:
-        for ln in lines:
-            _note(ln)
+        _note("\n".join(lines))
     return 0 if all_ok else 1
 
 
@@ -155,26 +161,21 @@ def _planted_subsets(G: NormGraph, args) -> tuple[tuple[int, ...], ...]:
 
 
 def cmd_census(args) -> int:
-    if args.sample and args.trials < 1:
-        return _usage_error("--trials must be >= 1")
-    try:
-        G = make_graph(args.p, args.t)
-        if args.sample:
-            planted = _planted_subsets(G, args)
-            mx, argmax = G.sample_max_common(
-                args.k, args.trials, args.seed, planted=planted, budget=args.budget
-            )
-            mode = {
-                "mode": "sample",
-                "trials": args.trials,
-                "seed": args.seed,
-                "planted": bool(planted),
-            }
-        else:
-            mx, argmax = G.census_max_common(args.k, budget=args.budget, jobs=args.jobs)
-            mode = {"mode": "exhaustive", "subsets": math.comb(G.n, args.k)}
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    G = make_graph(args.p, args.t)
+    if args.sample:
+        planted = _planted_subsets(G, args)
+        mx, argmax = G.sample_max_common(
+            args.k, args.trials, args.seed, planted=planted, budget=args.budget
+        )
+        mode = {
+            "mode": "sample",
+            "trials": args.trials,
+            "seed": args.seed,
+            "planted": bool(planted),
+        }
+    else:
+        mx, argmax = G.census_max_common(args.k, budget=args.budget, jobs=args.jobs)
+        mode = {"mode": "exhaustive", "subsets": math.comb(G.n, args.k)}
     bound = math.factorial(args.t - 1)
     bound_applies = args.k == args.t
     within = mx <= bound
@@ -236,18 +237,19 @@ def _verify_sides(data: dict, kind: str, L, R) -> tuple[list[str], bool]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as exc:
+    try:  # binary and bounded: /dev/zero stops one byte past the bound
+        with open(args.path, "rb") as f:
+            raw = f.read(graph.MAX_WITNESS_BYTES + 1)
+        if len(raw) > graph.MAX_WITNESS_BYTES:
+            return _usage_error(f"cannot read {args.path}: over {graph.MAX_WITNESS_BYTES} bytes")
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read {args.path}: {exc}")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         return _usage_error(f"malformed JSON: {exc}")
-    try:
-        kind, L, R = graph.parse_witness(data)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    kind, L, R = graph.parse_witness(data)
 
     # schema is sound; everything after this point is mathematics
     try:
@@ -264,18 +266,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        G = make_graph(args.p, args.t)
-        lines = G.edge_lines()  # raises on a graph over the size guard
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    G = make_graph(args.p, args.t)
+    lines = G.edge_lines()  # raises on a graph over the size guard
     try:  # lines printed before a failed check stay printed
         count = _emit(lines, args.output)
         if 2 * count != G.degree_sum():
             raise AssertionError(f"{count} edges, not half the degree sum {G.degree_sum()}")
-    except AssertionError:
-        if args.output:  # a failed check leaves no edge list behind
-            os.remove(args.output)
+    except BaseException:
+        if args.output:  # a failed run leaves no partial edge list behind
+            Path(args.output).unlink(missing_ok=True)
         raise
     report = print if args.output else _note
     report(f"vertices: {G.n}")
@@ -287,21 +286,11 @@ def cmd_export(args) -> int:
 
 
 def cmd_witness_general(args) -> int:
-    try:
-        found = general.find_parameters(
-            args.t,
-            args.m,
-            args.limit,
-            max_results=None if args.all else 1,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    found = general.find_parameters(
+        args.t, args.m, args.limit, max_results=None if args.all else 1, jobs=args.jobs
+    )
     if not found:
-        print(
-            f"no parameters found for t={args.t}, m={args.m} with p <= {args.limit}",
-            file=sys.stderr,
-        )
+        _note(f"no parameters found for t={args.t}, m={args.m} with p <= {args.limit}")
         return 1
     payloads = []
     all_ok = True
@@ -360,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w46 = sub.add_parser(
         "witness46", help="build and verify the 4x6 witness for a qualifying prime"
     )
-    p_w46.add_argument("--p", type=int, default=None, help="prime (default 7)")
+    p_w46.add_argument("--p", type=int, default=7, help="prime (default 7)")
     p_w46.add_argument(
         "--all-orderings",
         action="store_true",
@@ -417,18 +406,21 @@ def main(argv=None) -> int:
         return _usage_error("--limit must be >= 2")
     if getattr(args, "limit", 0) > SIEVE_LIMIT:
         return _usage_error(f"--limit must be <= {SIEVE_LIMIT}, got {args.limit}")
-    if (getattr(args, "p", None) or 0) >= PSI_12:
+    if getattr(args, "p", 0) >= PSI_12:
         return _usage_error(f"--p must be < {PSI_12}, got {args.p}")
+    if getattr(args, "sample", False) and args.trials < 1:
+        return _usage_error("--trials must be >= 1")
     output = getattr(args, "output", None)
     if output:
         out = Path(output)
-        if out.is_dir() or not (
+        # export removes a failed --output, which must not be one open refused
+        if out.is_dir() or (out.exists() and not os.access(out, os.W_OK)) or not (
             out.parent.is_dir() and os.access(out.parent, os.W_OK | os.X_OK)
         ):
             return _usage_error(f"--output {output} is not a file in a writable directory")
     try:
         return args.fn(args)
-    except OSError as exc:  # e.g. an --output path that cannot be written
+    except (OSError, ValueError) as exc:  # a refused input or an unwritable --output
         return _usage_error(str(exc))
     except AssertionError as exc:  # a failed internal cross-check
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -651,6 +651,11 @@ GENERAL_KEYS = ("t", "m", "p", "r", "thetas", "zeta", "A", "B", "verified")
 
 MAX_PAIRS = 2**15
 
+# verify refuses a longer file.  The pair cap admits the most vertices at
+# t = 4, 1 + 2^15 = 32,769, each 176 bytes in json.dumps(indent=2) with
+# 24-digit coordinates (p < PSI_12): 5.8 MB, the largest file at any t
+MAX_WITNESS_BYTES = 2**23
+
 
 def pair_cap(t: int) -> int:
     """The most vertex pairs a witness file of P(p,t) may hold: MAX_PAIRS,
@@ -687,6 +692,8 @@ def parse_witness(data) -> tuple[str, list[Vertex], list[Vertex]]:
     for key in ints:
         if not is_json_int(data[key]):
             raise ValueError(f"{key!r} must be an integer")
+    if type(data["verified"]) is not bool:
+        raise ValueError("'verified' must be true or false")
     p, t = data["p"], data["t"]
     if kind == "general":  # m coefficients and a (t-1) x m biclique
         m = data["m"]
