@@ -41,6 +41,9 @@ SYMMETRY_ORACLE = 16
 # (a 2 KB block)
 DRAW_WORDS = 512
 
+# a row's bit string as 0/1 flags for itertools.compress
+BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
 # the largest t a search or a witness file may name: the degree t - 1 sizes
 # every field build, irreducibility test and norm (2-vCPU Xeon, Python 3.11:
 # searches to p = 1000 took < 2.5 s for t <= 24 and 48 s at t = 64; a 2-vertex
@@ -451,11 +454,11 @@ class NormGraph:
         """Max |common neighborhood| over seeded random k-subsets, then any
         planted id-subsets, with the first maximizing subset.  The trials
         are those of rng.sample(range(n), k) on rng = random.Random(seed),
-        read from batched words by _draw_subsets, and one serial loop counts
-        each as it is drawn, so memory does not grow with trials.  For
-        P(7,4) at 50,000 trials the draw takes about 0.05 s and the count
-        0.02 s; only one process can read the stream in order, so a pool
-        could share just the count, and starting one costs about 0.01 s.
+        drawn from batched words and counted in one serial loop by
+        _sample_search.  For P(7,4) at 50,000 trials that loop takes about
+        0.07 s, three quarters of it the draw; only one process can read
+        the stream in order, so a pool could share just the count, and
+        starting one costs about 0.01 s.
         Refuses more trials than the budget, k above MAX_COMMON_QUERY, and a
         planted subset that is not a k-subset, before any work.  The norm
         route recounts the maximum for the subset returned."""
@@ -474,25 +477,23 @@ class NormGraph:
             if len(ids) != k or len(set(ids)) != k:
                 raise ValueError(f"planted subset {extra!r} is not a {k}-subset")
             extras.append(ids)
-        bitsets = self._all_bitsets()
-        drawn = _draw_subsets(random.Random(seed), self.n, k, trials)
-        best, best_subset = -1, ()
-        for subset in itertools.chain(drawn, extras):
-            size = _subset_census(bitsets, subset)
-            if size > best:  # a drawn subset is in draw order until it leads
-                best, best_subset = size, tuple(sorted(subset))
-        return self._checked_by_norms(best, best_subset)
+        rng = random.Random(seed)
+        return self._checked_by_norms(*_sample_search(self._all_bitsets(), rng, k, trials, extras))
 
     # -- export -----------------------------------------------------------
 
     def edge_lines(self):
-        """Edges as 'id_u id_v' text lines, ascending, loops omitted.  The
-        size guard raises here, before the caller consumes a line."""
+        """Edges as 'id_u id_v' text lines, ascending, loops omitted: the
+        set bits of each row above its own id, picked from a list of the n
+        id strings by one compress over the row's bit string, reversed so
+        that flag j is bit j.  The size guard raises here, before the caller
+        consumes a line."""
         self._require_enumerable()
-        return (
-            f"{uid} {uid + 1 + off}"
+        ids, width = [str(vid) for vid in range(self.n)], f"0{self.n}b"
+        return itertools.chain.from_iterable(
+            map(f"{uid} ".__add__, itertools.compress(
+                ids, format(bits >> uid + 1 << uid + 1, width).encode().translate(BIT_FLAGS)[::-1]))
             for uid, bits in enumerate(self._iter_bitsets())
-            for off in _iter_bits(bits >> (uid + 1))
         )
 
 
@@ -510,16 +511,14 @@ def _rotations(rows: list[int], masks: list, p: int):
         yield from _rotations(rows, inner, p)
 
 
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _draw_subsets(rng: random.Random, n: int, k: int, trials: int):
-    """The subsets that `trials` calls of rng.sample(range(n), k) return, in
-    the same order and each in its draw order; rng ends in another state.
+def _sample_search(
+    bitsets: list[int], rng: random.Random, k: int, trials: int, planted=()
+) -> tuple[int, tuple[int, ...]]:
+    """Max |common neighbourhood| over the k-subsets that `trials` calls of
+    rng.sample(range(n), k) return, then the planted ones, with the first
+    maximizing subset, sorted; one loop draws each subset and ANDs its
+    rows, in draw order, so memory does not grow with trials.  No bitset
+    may hold its own bit, so the AND already excludes the subset.
 
     random.sample draws from a list pool when n is at most its `setsize`; the
     draws for those small n still go through it.  Otherwise it draws
@@ -528,41 +527,40 @@ def _draw_subsets(rng: random.Random, n: int, k: int, trials: int):
     n.bit_length() bits of one 32-bit Mersenne Twister word, kept if below
     n.  getrandbits(32 * B) returns B such words, the first drawn least
     significant, so the kept values are read DRAW_WORDS at a time and each
-    trial takes the next k distinct ones."""
+    trial takes the next k distinct ones; rng ends in another state."""
+    n = len(bitsets)
     setsize = 21  # random.sample's branch threshold, computed as it computes it
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n <= setsize:
-        for _ in range(trials):
-            yield rng.sample(range(n), k)
-        return
-    shift = 32 - n.bit_length()
-    limit = n << shift
-    unpack = struct.Struct(f"<{DRAW_WORDS}I").unpack
+        drawn = map(rng.sample, itertools.repeat(range(n), trials), itertools.repeat(k))
+    else:
+        shift = 32 - n.bit_length()
+        limit = n << shift
+        unpack = struct.Struct(f"<{DRAW_WORDS}I").unpack
 
-    def block() -> list[int]:
-        raw = rng.getrandbits(32 * DRAW_WORDS).to_bytes(4 * DRAW_WORDS, "little")
-        return [w >> shift for w in unpack(raw) if w < limit]
+        def block() -> list[int]:
+            raw = rng.getrandbits(32 * DRAW_WORDS).to_bytes(4 * DRAW_WORDS, "little")
+            return [w >> shift for w in unpack(raw) if w < limit]
 
-    values = itertools.chain.from_iterable(iter(block, None))  # block() forever
-    # zip takes k values per trial from the one stream, and a redraw takes
-    # its values from that stream too, so the next trial starts after them
-    for subset in itertools.islice(zip(*[values] * k), trials):
-        if len(set(subset)) < k:  # a repeat is redrawn, as random.sample does
+        values = itertools.chain.from_iterable(iter(block, None))  # block() forever
+        # zip takes k values per trial from the one stream, and a redraw takes
+        # its values from that stream too, so the next trial starts after them
+        drawn = itertools.islice(zip(*[values] * k), trials)
+    best, best_subset = -1, ()
+    for subset in itertools.chain(drawn, planted):
+        if len(set(subset)) < k:  # a set-branch repeat, redrawn as random.sample does
             subset = list(dict.fromkeys(subset))
             while len(subset) < k:
                 value = next(values)
                 if value not in subset:
                     subset.append(value)
-        yield subset
-
-
-def _subset_census(bitsets: list[int], subset: tuple[int, ...]) -> int:
-    # no bitset holds its own bit, so the AND already excludes the subset
-    inter = bitsets[subset[0]]
-    for s in subset[1:]:
-        inter &= bitsets[s]
-    return inter.bit_count()
+        inter = -1
+        for vid in subset:
+            inter &= bitsets[vid]
+        if (size := inter.bit_count()) > best:  # in draw order until it leads
+            best, best_subset = size, tuple(sorted(subset))
+    return best, best_subset
 
 
 def _orbit_search(task) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import chain, compress
 
 # Miller-Rabin to these twelve bases is deterministic below PSI_12, the
 # smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
@@ -39,27 +39,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# primes_up_to refuses limits above this before it allocates its limit + 1
+# primes_up_to refuses limits above this before it allocates its (limit + 1)/2
 # byte table.  The bound is the desk scale: sieve --limit 10^7 peaks near
-# 30 MB and takes 2.1-2.5 s on one core, both growing linearly.
+# 25 MB and takes 1.6-2.1 s on one core, both growing linearly.
 SIEVE_LIMIT = 10**7
 
 
 def primes_up_to(limit: int) -> array:
-    """All primes <= limit, ascending (Eratosthenes), packed four bytes
-    each in an array('I')."""
+    """All primes <= limit, ascending (Eratosthenes over the odd numbers),
+    packed four bytes each in an array('I')."""
     if limit > SIEVE_LIMIT:
         raise ValueError(f"limit {limit} is above the sieve bound {SIEVE_LIMIT}")
     if limit < 2:
         return array("I")
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    i = 2
-    while i * i <= limit:
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-        i += 1
-    return array("I", compress(range(limit + 1), sieve))
+    sieve = bytearray([1]) * ((limit + 1) // 2)  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    p = 3
+    while p * p <= limit:
+        if sieve[p // 2]:  # odd multiples of p from p^2 on lie p entries apart
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+        p += 2
+    return array("I", chain([2], compress(range(1, limit + 1, 2), sieve)))
 
 
 def prime_factors(n: int) -> list[int]:

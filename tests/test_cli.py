@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import resource
 import subprocess
@@ -522,9 +523,11 @@ class TestCensus:
 
     def test_count_above_the_bound_above_t_is_an_internal_fault(self, monkeypatch, capsys):
         # N(S) lies in the common neighbourhood of each 4-subset of S; both
-        # censuses return through the library's check, before the recount
+        # censuses return through the library's check, before the recount.
+        # Every row of the sampled census's table holds the same 7 bits, so
+        # each trial's AND counts 7
         monkeypatch.setattr(graph, "_census_search", lambda *a, **kw: (7, (0, 1, 2, 3, 4)))
-        monkeypatch.setattr(graph, "_subset_census", lambda bitsets, subset: 7)
+        monkeypatch.setattr(graph.NormGraph, "_all_bitsets", lambda G: [2**7 - 1] * G.n)
         argv = ["census", "--p", "3", "--t", "4", "--k", "5"]
         for mode in ([], ["--sample", "--trials", "3"]):
             code = cli.main(argv + mode)
@@ -604,6 +607,49 @@ class TestCensus:
         )
         assert json.loads(a.stdout)["seed"] == 0
         assert json.loads(b.stdout)["seed"] == 1
+
+
+def reference_sample_search(bitsets, rng, k, trials, planted=()):
+    """The sampled census by its definition: one rng.sample call a trial,
+    then the planted subsets, each counted by a plain AND of its rows; the
+    first subset with the largest count, sorted."""
+    best, best_subset = -1, ()
+    drawn = [rng.sample(range(len(bitsets)), k) for _ in range(trials)]
+    for subset in drawn + list(planted):
+        size = functools.reduce(operator.and_, [bitsets[v] for v in subset]).bit_count()
+        if size > best:
+            best, best_subset = size, tuple(sorted(subset))
+    return best, best_subset
+
+
+@functools.cache
+def cached_graph(p, t):
+    return make_graph(p, t)
+
+
+class TestSampledCensusBytes:
+    """census --sample prints, in text and JSON, what the reference census
+    prints: P(3,3) (n = 18) takes random.sample's pool branch, the others
+    its set branch, and P(7,4) at k = 4 plants the witness quadruple."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p, t", [(3, 3), (3, 4), (5, 3), (7, 4)])
+    def test_same_bytes_as_the_reference(self, monkeypatch, capsys, p, t, k, seed):
+        # both runs read one cached graph, so its table is built once
+        monkeypatch.setattr(cli, "make_graph", cached_graph)
+        # more trials than one block of DRAW_WORDS holds at k = 1
+        trials = 2 * graph.DRAW_WORDS + 1
+        runs = []
+        for search in (graph._sample_search, reference_sample_search):
+            monkeypatch.setattr(graph, "_sample_search", search)
+            for fmt in ("text", "json"):
+                code = cli.main(["census", "--p", str(p), "--t", str(t), "--k", str(k),
+                                 "--sample", "--trials", str(trials), "--seed", str(seed),
+                                 "--format", fmt])
+                runs.append((code, *capsys.readouterr()))
+        assert runs[:2] == runs[2:]
+        assert ("planted=witness-quadruple" in runs[0][1]) == ((p, t, k) == (7, 4, 4))
 
 
 class TestVerify:

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from normgraph import cli, general, graph, k46
+from normgraph import cli, general, graph, k46, parallel
 from normgraph.ff import ExtField
 from normgraph.graph import witness_to_json
 
@@ -272,6 +272,69 @@ def test_refused_in_bounded_memory(argv, error):
     assert_contract(code, out, err, argv)
     assert code == 2 and err.startswith(error)
     assert peak_kb < 100 * 1024
+
+
+# each subcommand that takes --jobs, on inputs that cut more than one task,
+# so that --jobs 2 starts a pool wherever the host has two CPUs
+POOLED = [
+    ["sieve", "--limit", 1000],
+    ["census", "--p", 3, "--t", 3, "--k", 2],
+    ["witness-general", "--t", 4, "--m", 2, "--limit", 200, "--all"],
+]
+
+
+@pytest.mark.parametrize("argv", POOLED, ids=[a[0] for a in POOLED])
+def test_two_workers_print_the_serial_bytes_in_bounded_memory(capsys, argv):
+    r = subprocess.run(
+        [sys.executable, "-c", CAPPED, *map(str, argv), "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, out, err, peak_kb = json.loads(r.stdout)
+    assert (code, out, err) == run_main(capsys, [*argv, "--jobs", 1])
+    assert code == 0
+    assert peak_kb < 100 * 1024
+
+
+def test_export_takes_no_jobs_flag():
+    # export is serial; argparse refuses the flag, with its usage lines
+    # before the one error line
+    r = subprocess.run(
+        [sys.executable, "-c", CAPPED, "export", "--p", "3", "--t", "3", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, out, err, peak_kb = json.loads(r.stdout)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+    assert peak_kb < 100 * 1024
+
+
+class SerialPool:
+    """A ProcessPoolExecutor that starts no process: map runs in this one,
+    and each pool's max_workers is recorded."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("argv", POOLED, ids=[a[0] for a in POOLED])
+def test_a_million_jobs_are_clamped_to_the_cpus(capsys, monkeypatch, argv):
+    want = run_main(capsys, [*argv, "--jobs", 1])
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    assert run_main(capsys, [*argv, "--jobs", 10**6]) == want
+    assert SerialPool.sizes and all(2 <= size <= 4 for size in SerialPool.sizes)
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,14 @@ def neighbors(G, u):
     return G.common_neighbors([u])
 
 
+def iter_bits(bits: int):
+    """The set bits of bits, lowest first, one big-int step each."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 class TestConstruction:
     def test_vertex_counts(self):
         assert p74().n == 2058  # 343 * 6
@@ -495,8 +503,21 @@ class TestCensus:
         assert sampled_size <= census_size
 
 
+class RowRecorder(list):
+    """A bitset table of n zero rows that logs each row id read from it."""
+
+    def __init__(self, n):
+        super().__init__([0] * n)
+        self.read = []
+
+    def __getitem__(self, vid):
+        self.read.append(vid)
+        return super().__getitem__(vid)
+
+
 class TestDrawSubsets:
-    """graph._draw_subsets against rng.sample(range(n), k) on a twin stream."""
+    """graph._sample_search against rng.sample(range(n), k) on a twin stream:
+    the rows that its loop ANDs, k a trial, are the subsets drawn."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -512,8 +533,11 @@ class TestDrawSubsets:
         trials = 2 * graph.DRAW_WORDS + 1
         twin = random.Random(seed)
         want = [twin.sample(range(n), k) for _ in range(trials)]
-        got = graph._draw_subsets(random.Random(seed), n, k, trials)
-        assert [list(subset) for subset in got] == want
+        rows = RowRecorder(n)
+        # every count is 0, so the first subset drawn is the one returned
+        found = graph._sample_search(rows, random.Random(seed), k, trials)
+        assert found == (0, tuple(sorted(want[0])))
+        assert [rows.read[i:i + k] for i in range(0, len(rows.read), k)] == want
 
 
 def colex_first_max(bitsets, k, tops=None):
@@ -666,7 +690,7 @@ class TestOrbits:
         for sigma in random.Random(p * 10 + t).sample(maps, min(50, len(maps))):
             assert sorted(sigma) == list(range(G.n))
             for u, bits in enumerate(table):
-                assert table[sigma[u]] == sum(1 << sigma[v] for v in graph._iter_bits(bits)), u
+                assert table[sigma[u]] == sum(1 << sigma[v] for v in iter_bits(bits)), u
 
     @pytest.mark.parametrize("p, t", [(2, 5), (3, 4), (5, 3), (3, 5)])
     def test_classes_are_the_scaling_orbits(self, p, t):
@@ -710,6 +734,17 @@ class TestExport:
         for u, v in pairs[:40]:
             assert u < v
             assert G.adjacent(G.vertex_from_id(u), G.vertex_from_id(v))
+
+    @pytest.mark.parametrize("p, t", [(2, 5), (3, 3), (3, 4), (5, 3), (5, 4)])
+    def test_edge_lines_equal_the_bit_walk(self, p, t):
+        # each row's bits above its own id, one big-int step each
+        G = make_graph(p, t)
+        want = [
+            f"{uid} {uid + 1 + off}"
+            for uid, bits in enumerate(G._iter_bitsets())
+            for off in iter_bits(bits >> (uid + 1))
+        ]
+        assert list(G.edge_lines()) == want
 
     def test_enumeration_guard(self):
         # constructing P(101,4) itself is fine; only enumeration is guarded
